@@ -10,9 +10,9 @@
 //                paying a registry hash + shard mutex + shared_ptr bump on
 //                every probe;
 //   service-N  — `fhg::service::Service` with N shards: client threads
-//                submit single name-addressed requests (callback flavor,
-//                bounded closed-loop window), shard workers drain their
-//                queues and coalesce whatever accumulated into
+//                submit single name-addressed requests through
+//                `Service::handle` (bounded closed-loop window), shard
+//                workers drain their queues and coalesce whatever accumulated into
 //                `QuerySnapshot::query_batch` / `next_gathering_batch`
 //                calls — single-request callers transparently riding the
 //                batched lock-free read path.
@@ -98,6 +98,15 @@ void BM_Direct(benchmark::State& state, const std::string& scenario) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * fleet.requests.size()));
 }
 
+/// One client's closed-loop state.  Completions capture only a pointer to
+/// it, so each callback fits `std::function`'s inline buffer and submitting
+/// allocates nothing beyond the request itself.
+struct Window {
+  std::atomic<std::uint64_t> outstanding{0};
+  std::atomic<std::uint64_t>* failures = nullptr;
+  bool queue_full = false;  ///< set by a synchronous kQueueFull reject
+};
+
 /// The asynchronous pipeline: kClients submitter threads, `shards` workers
 /// coalescing.  Failures abort (the stream is valid by construction).
 void BM_Service(benchmark::State& state, const std::string& scenario, std::size_t shards) {
@@ -114,42 +123,34 @@ void BM_Service(benchmark::State& state, const std::string& scenario, std::size_
         const std::size_t per_client = fleet.requests.size() / kClients;
         const std::size_t begin = c * per_client;
         const std::size_t end = c + 1 == kClients ? fleet.requests.size() : begin + per_client;
-        std::atomic<std::uint64_t> outstanding{0};
+        Window window{.failures = &failures};
         for (std::size_t i = begin; i < end; ++i) {
           const api::Request& request = fleet.requests[i];
-          while (outstanding.load(std::memory_order_acquire) >= kWindow) {
+          while (window.outstanding.load(std::memory_order_acquire) >= kWindow) {
             std::this_thread::yield();
           }
-          outstanding.fetch_add(1, std::memory_order_acq_rel);
+          window.outstanding.fetch_add(1, std::memory_order_acq_rel);
           for (;;) {
-            std::optional<service::Reject> reject;
-            if (const auto* next = std::get_if<api::NextGatheringRequest>(&request)) {
-              reject = service.next_gathering(next->instance, next->node, next->after,
-                                              [&](service::Outcome<std::uint64_t> outcome) {
-                                                if (!outcome.ok()) {
-                                                  failures.fetch_add(1,
-                                                                     std::memory_order_relaxed);
-                                                }
-                                                outstanding.fetch_sub(1,
-                                                                      std::memory_order_acq_rel);
-                                              });
-            } else {
-              const auto& happy = std::get<api::IsHappyRequest>(request);
-              reject = service.is_happy(happy.instance, happy.node, happy.holiday,
-                                        [&](service::Outcome<bool> outcome) {
-                                          if (!outcome.ok()) {
-                                            failures.fetch_add(1, std::memory_order_relaxed);
-                                          }
-                                          outstanding.fetch_sub(1, std::memory_order_acq_rel);
-                                        });
-            }
-            if (!reject) {
+            // A kQueueFull reject is delivered synchronously, before
+            // `handle` returns; accepted requests complete on a shard worker.
+            window.queue_full = false;
+            service.handle(request, [w = &window](api::Response response) {
+              if (response.status.code == api::StatusCode::kQueueFull) {
+                w->queue_full = true;
+                return;
+              }
+              if (!response.ok()) {
+                w->failures->fetch_add(1, std::memory_order_relaxed);
+              }
+              w->outstanding.fetch_sub(1, std::memory_order_acq_rel);
+            });
+            if (!window.queue_full) {
               break;
             }
             std::this_thread::yield();  // backpressure: retry in closed loop
           }
         }
-        while (outstanding.load(std::memory_order_acquire) > 0) {
+        while (window.outstanding.load(std::memory_order_acquire) > 0) {
           std::this_thread::yield();
         }
       });

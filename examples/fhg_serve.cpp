@@ -1,6 +1,5 @@
 // fhg_serve — the fhg scheduling system as a network service, plus the
-// matching load generator: the two halves engine_server's in-process service
-// phase splits into once a real wire is involved.
+// matching load generator and a self-contained end-to-end check of both.
 //
 // Three modes:
 //
@@ -33,9 +32,15 @@
 //             socket and the other through the in-process transport, drives
 //             both with identical request streams, and byte-compares every
 //             encoded response frame — "one protocol, two transports" made
-//             falsifiable.  Then hammers the socket server from --clients
-//             concurrent connections for completeness.  Exits nonzero on
-//             any divergence or unexpected failure.
+//             falsifiable — and then the two engines' snapshots.  Then
+//             hammers the socket server from --clients concurrent
+//             connections for completeness, and checks the socket-served
+//             engine itself: a sample of answers served over the socket
+//             against direct `Engine` calls, sampled fairness audits (the
+//             §4/§5 gap bounds), a snapshot → restore round trip that must
+//             be byte-identical, and a probe round the restored engine must
+//             answer exactly like the original.  Exits 1 when any of these
+//             fails.
 //
 //   stats     One-shot scrape of a running server over the protocol itself:
 //             sends a GetStats request and prints the returned registry
@@ -53,22 +58,32 @@
 //                      [--shards N] [--threads N] [--service-shards N]
 //                      [--duration SECS] [--seed S]
 //                      [--stats-port P] [--stats-interval SECS]
+//                      [--wal-dir PATH] [--wal-fsync N]
+//                      [--wal-compact-every N] [--backend-id NAME]
 //   fhg_serve load     --connect HOST:PORT [--workload SPEC | --fleet N]
-//                      [--requests N] [--clients N] [--round R] [--seed S]
-//                      [--idle-connections N] [--openers N]
+//                      [--steps N] [--requests N] [--clients N] [--round R]
+//                      [--seed S] [--idle-connections N] [--openers N]
+//                      [--retry N]
 //   fhg_serve loopback [--workload SPEC | --fleet N] [--steps N]
 //                      [--requests N] [--clients N] [--service-shards N]
 //                      [--seed S]
 //   fhg_serve stats    --connect HOST:PORT [--histograms 0|1] [--traces 0|1]
 //
-// Workload specs are `family[:key=value,...]` exactly as in engine_server;
-// the load generator must be given the *same* spec the server was started
-// with, or its tenant names will miss.
+// Every option takes a value; an option the mode does not know, or one left
+// without a value, is a usage error (exit 2).
+//
+// Workload specs are `family[:key=value,...]` with families ring, grid,
+// power-law, random-geometric, gnp (or a preset: powerlaw-1m, geometric-1m)
+// and keys fleet, nodes, seed, churn, aperiodic, dynamic, mutation, next,
+// horizon, cmds (see fhg/workload/scenario.hpp).  The load generator must be
+// given the *same* spec the server was started with, or its tenant names
+// will miss.
 //
 // Examples:
 //   fhg_serve serve --workload power-law:fleet=1000 --port 7421 &
 //   fhg_serve load --connect 127.0.0.1:7421 --workload power-law:fleet=1000
 //   fhg_serve loopback --workload power-law:fleet=300,dynamic=0.3,mutation=0.1
+//   fhg_serve loopback --workload powerlaw-1m:nodes=131072,cmds=512 --steps 8 --requests 16
 
 #include <algorithm>
 #include <atomic>
@@ -83,6 +98,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,13 +131,17 @@ using Clock = std::chrono::steady_clock;
             << "                          [--wal-dir PATH] [--wal-fsync N]\n"
             << "                          [--wal-compact-every N] [--backend-id NAME]\n"
             << "       fhg_serve load     --connect HOST:PORT [--workload SPEC | --fleet N]\n"
-            << "                          [--requests N] [--clients N] [--round R] [--seed S]\n"
-            << "                          [--idle-connections N] [--openers N] [--retry N]\n"
+            << "                          [--steps N] [--requests N] [--clients N] [--round R]\n"
+            << "                          [--seed S] [--idle-connections N] [--openers N]\n"
+            << "                          [--retry N]\n"
             << "       fhg_serve loopback [--workload SPEC | --fleet N] [--steps N]\n"
             << "                          [--requests N] [--clients N] [--service-shards N]\n"
             << "                          [--seed S]\n"
             << "       fhg_serve stats    --connect HOST:PORT [--histograms 0|1] [--traces 0|1]\n"
-            << "workload specs: family[:key=value,...] as in engine_server\n";
+            << "workload specs: family[:key=value,...], families: ring grid power-law\n"
+            << "                random-geometric gnp; presets: powerlaw-1m geometric-1m\n"
+            << "                keys: fleet nodes seed churn aperiodic dynamic mutation\n"
+            << "                      next horizon cmds\n";
   std::exit(2);
 }
 
@@ -129,13 +149,40 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// `--key value` option map over `argv[first..]`.
-std::map<std::string, std::string> parse_options(int argc, char** argv, int first) {
+/// The option keys each mode accepts.
+const std::map<std::string, std::set<std::string>>& mode_options() {
+  static const std::map<std::string, std::set<std::string>> modes{
+      {"serve",
+       {"host", "port", "port-file", "workload", "fleet", "steps", "shards", "threads",
+        "service-shards", "duration", "seed", "stats-port", "stats-interval", "wal-dir",
+        "wal-fsync", "wal-compact-every", "backend-id"}},
+      {"load",
+       {"connect", "workload", "fleet", "steps", "requests", "clients", "round", "seed",
+        "idle-connections", "openers", "retry"}},
+      {"loopback",
+       {"workload", "fleet", "steps", "requests", "clients", "service-shards", "seed"}},
+      {"stats", {"connect", "histograms", "traces"}},
+  };
+  return modes;
+}
+
+/// `--key value` option map over `argv[first..]`.  A key outside `known` or
+/// a trailing key without a value is a usage error, so a misspelled flag
+/// cannot silently fall back to a default.
+std::map<std::string, std::string> parse_options(int argc, char** argv, int first,
+                                                 const std::string& mode,
+                                                 const std::set<std::string>& known) {
   std::map<std::string, std::string> options;
-  for (int i = first; i + 1 < argc; i += 2) {
+  for (int i = first; i < argc; i += 2) {
     const std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
       usage("expected an option, got '" + key + "'");
+    }
+    if (!known.contains(key.substr(2))) {
+      usage("unknown option '" + key + "' for " + mode + " mode");
+    }
+    if (i + 1 == argc) {
+      usage("option '" + key + "' needs a value");
     }
     options[key.substr(2)] = argv[i + 1];
   }
@@ -694,6 +741,12 @@ int run_loopback(std::map<std::string, std::string> options) {
   std::cout << "equivalence: " << stream.size() << " frames in "
             << seconds_since(equivalence_start) << "s, " << diverged << " diverged\n";
 
+  // Both engines have now served the identical stream, so their whole state
+  // must match too — not only the answers the frames carried.
+  const bool engines_identical = socket_engine->snapshot() == inproc_engine->snapshot();
+  std::cout << "engine state: socket and in-process snapshots "
+            << (engines_identical ? "byte-identical" : "DIFFER") << "\n";
+
   // Phase 2 — concurrent completeness: hammer the socket server from
   // `clients` connections; every request must complete without an
   // unexpected failure.
@@ -704,18 +757,105 @@ int run_loopback(std::map<std::string, std::string> options) {
   print_tally("socket load (" + std::to_string(clients) + " connections)", tally,
               seconds_since(load_start));
 
+  // Phase 3 — served answers against the engine itself.  The transports
+  // share the service code, so phase 1 cannot see an answer the service
+  // gets wrong on both; with the load finished no mutation is in flight,
+  // and every answer served over the socket must equal a direct call.
+  const auto sample_size = static_cast<std::size_t>(std::min<std::uint64_t>(requests, 5'000));
+  const auto sample_snapshot = socket_engine->query_snapshot();
+  const workload::ProbeRound sample = generator.probes(*sample_snapshot, sample_size, 2);
+  api::Client sample_client(std::make_unique<api::SocketTransport>(server.host(), server.port()));
+  std::size_t mismatched = 0;
+  for (const engine::Probe& sampled : sample.membership) {
+    const std::string& name = sample_snapshot->instance(sampled.instance)->name();
+    const auto served = sample_client.is_happy(name, sampled.node, sampled.holiday);
+    mismatched += !served.ok() ||
+                  served.value != socket_engine->is_happy(name, sampled.node, sampled.holiday);
+  }
+  for (const engine::Probe& sampled : sample.next_gathering) {
+    const std::string& name = sample_snapshot->instance(sampled.instance)->name();
+    const auto served = sample_client.next_gathering(name, sampled.node, sampled.holiday);
+    const auto direct = socket_engine->next_gathering(name, sampled.node, sampled.holiday);
+    mismatched += !served.ok() || served.value != direct.value_or(engine::kNoGathering);
+  }
+  std::cout << "served check: " << sample.membership.size() + sample.next_gathering.size()
+            << " sampled answers, " << mismatched << " differ from the direct engine\n";
+
   server.stop();
   socket_service.drain();
   inproc_service.drain();
+
+  // Phase 4 — the socket-served engine's state after all of the above.
+  // Sampled fairness audits: every period must stay within the paper's
+  // §4/§5 gap bound.
+  const auto instances = socket_engine->registry().all_sorted();
+  std::size_t audited = 0;
+  std::size_t violations = 0;
+  for (std::size_t i = 0; i < instances.size();
+       i += std::max<std::size_t>(1, instances.size() / 8)) {
+    const auto audit = instances[i]->audit();
+    ++audited;
+    if (!audit.bounds_respected) {
+      ++violations;
+      std::cerr << "fhg_serve: " << instances[i]->name() << " (" << instances[i]->scheduler_name()
+                << ") worst gap " << audit.worst_gap << " exceeds its bound\n";
+    }
+  }
+  std::cout << "audit: " << audited << " sampled tenants, " << violations
+            << " over their gap bound\n";
+
+  // Snapshot → restore must round-trip byte-identically, and the restored
+  // engine must answer a fresh probe round exactly like the original —
+  // including schedule versions produced by in-place mutations (restore
+  // replays each tenant's mutation log).
+  const std::vector<std::uint8_t> bytes = socket_engine->snapshot();
+  engine::Engine restored;
+  bool restore_identical = false;
+  bool requery_ok = false;
+  try {
+    restored.load_snapshot(bytes);
+    restore_identical = restored.snapshot() == bytes;
+    const workload::ProbeRound round = generator.probes(
+        *socket_engine->query_snapshot(),
+        static_cast<std::size_t>(std::min<std::uint64_t>(requests, 20'000)), 1);
+    requery_ok = socket_engine->query_batch(round.membership) ==
+                     restored.query_batch(round.membership) &&
+                 socket_engine->next_gathering_batch(round.next_gathering) ==
+                     restored.next_gathering_batch(round.next_gathering);
+  } catch (const std::exception& e) {
+    std::cerr << "fhg_serve: restore: " << e.what() << "\n";
+  }
+  std::cout << "restore: " << bytes.size() << " snapshot bytes, round trip "
+            << (restore_identical ? "byte-identical" : "MISMATCH") << ", re-query "
+            << (requery_ok ? "match" : "MISMATCH") << "\n";
+
+  const auto fail = [](const std::string& what) {
+    std::cerr << "fhg_serve: FAIL — " << what << "\n";
+    return false;
+  };
+  bool ok = true;
   if (diverged != 0) {
-    std::cerr << "fhg_serve: FAIL — " << diverged
-              << " response frames diverged between transports\n";
+    ok = fail(std::to_string(diverged) + " response frames diverged between transports");
+  }
+  if (!engines_identical) {
+    ok = fail("socket and in-process engine snapshots differ after the equivalence sweep");
   }
   if (tally.failed != 0) {
-    std::cerr << "fhg_serve: FAIL — " << tally.failed
-              << " socket requests failed unexpectedly\n";
+    ok = fail(std::to_string(tally.failed) + " socket requests failed unexpectedly");
   }
-  return diverged == 0 && tally.failed == 0 ? 0 : 1;
+  if (mismatched != 0) {
+    ok = fail(std::to_string(mismatched) + " served answers differ from the direct engine");
+  }
+  if (violations != 0) {
+    ok = fail(std::to_string(violations) + " sampled fairness audits violated their gap bound");
+  }
+  if (!restore_identical) {
+    ok = fail("snapshot restore round trip not byte-identical");
+  }
+  if (!requery_ok) {
+    ok = fail("restored engine answers probes differently");
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -725,7 +865,11 @@ int main(int argc, char** argv) {
     usage("missing mode (serve | load | loopback | stats)");
   }
   const std::string mode = argv[1];
-  auto options = parse_options(argc, argv, 2);
+  const auto known = mode_options().find(mode);
+  if (known == mode_options().end()) {
+    usage("unknown mode '" + mode + "'");
+  }
+  auto options = parse_options(argc, argv, 2, mode, known->second);
   if (mode == "serve") {
     return run_serve(std::move(options));
   }
@@ -735,8 +879,5 @@ int main(int argc, char** argv) {
   if (mode == "loopback") {
     return run_loopback(std::move(options));
   }
-  if (mode == "stats") {
-    return run_stats(std::move(options));
-  }
-  usage("unknown mode '" + mode + "'");
+  return run_stats(std::move(options));
 }

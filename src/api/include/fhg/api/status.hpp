@@ -4,12 +4,11 @@
 /// The unified error model of the `fhg::api` protocol.
 ///
 /// One enum covers every way a request can fail anywhere in the stack —
-/// admission control (`kQueueFull`/`kStopped`, the former
-/// `fhg::service::Reject`), engine lookup and validation (`kNotFound`,
-/// `kInvalidArgument`, `kAlreadyExists`, `kFailedPrecondition`,
-/// `kResourceExhausted`), and the wire codec (`kDecodeError`,
-/// `kUnsupportedVersion`) — so callers branch on one code instead of
-/// unpicking a `bool` / `std::optional<Reject>` / exception mix.  A `Status`
+/// admission control (`kQueueFull`/`kStopped`), engine lookup and
+/// validation (`kNotFound`, `kInvalidArgument`, `kAlreadyExists`,
+/// `kFailedPrecondition`, `kResourceExhausted`), and the wire codec
+/// (`kDecodeError`, `kUnsupportedVersion`) — so callers branch on one code
+/// instead of unpicking a `bool` / optional / exception mix.  A `Status`
 /// pairs the code with a human-readable detail string for logs; the code is
 /// the contract, the detail is free-form.
 ///
@@ -44,8 +43,8 @@ enum class StatusCode : std::uint8_t {
 inline constexpr std::uint64_t kNumStatusCodes = 11;
 
 /// Human-readable code name ("ok", "queue-full", "stopped", "not-found", …).
-/// The admission names match the former `service::reject_name` spellings, so
-/// existing log grep patterns keep working.
+/// The admission names keep their historical spellings, so existing log grep
+/// patterns keep working.
 [[nodiscard]] constexpr std::string_view status_name(StatusCode code) noexcept {
   switch (code) {
     case StatusCode::kOk:

@@ -11,8 +11,8 @@
 ///    (`fhg_service_accepted_total{shard="0"}`) are understood and merged
 ///    with the `le` label on bucket lines.
 ///  - `to_text` produces the human-readable table that `fhg_serve` and
-///    `engine_server` print at the end of a run — one shared formatter
-///    instead of per-binary hand-rolled tables.
+///    `fhg_router` print — one shared formatter instead of per-binary
+///    hand-rolled tables.
 ///
 /// Both flag saturated histograms (observations clamped into the top
 /// bucket) explicitly: quantiles over a clipped tail are lower bounds, and

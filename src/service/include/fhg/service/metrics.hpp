@@ -10,11 +10,6 @@
 /// and no methods with side effects beyond their own fields — so a caller
 /// can snapshot them (`Service::metrics()`), diff two snapshots, ship them
 /// to any telemetry system, or print them with nothing but field access.
-///
-/// The histogram type itself was promoted into `fhg::obs` (it now carries a
-/// quantile estimator and a saturation flag, and every layer shares it);
-/// the alias below keeps the original `fhg::service::Histogram` spelling
-/// working for existing callers.
 
 #include <cstdint>
 #include <vector>
@@ -22,9 +17,6 @@
 #include "fhg/obs/histogram.hpp"
 
 namespace fhg::service {
-
-/// The shared power-of-two bucketed histogram (see fhg/obs/histogram.hpp).
-using Histogram = obs::Histogram;
 
 /// Counters for one shard of the service.
 ///
@@ -43,8 +35,8 @@ struct ShardMetrics {
   std::uint64_t failed = 0;            ///< requests completed with an error
   std::uint64_t batches = 0;           ///< coalesced engine batch calls
   std::uint64_t queue_high_water = 0;  ///< deepest queue ever observed
-  Histogram batch_size;                ///< requests per coalesced batch
-  Histogram latency_us;                ///< submit→completion latency (µs)
+  obs::Histogram batch_size;           ///< requests per coalesced batch
+  obs::Histogram latency_us;           ///< submit→completion latency (µs)
 
   /// Accumulates `other` into this struct: counters add, the high-water mark
   /// takes the max, histograms merge bucket-wise.

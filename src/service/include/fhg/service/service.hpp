@@ -36,13 +36,13 @@
 ///
 /// ```
 /// fhg::service::Service service(engine, {.shards = 4});
-/// auto pending = service.is_happy("acme", 7, 123456789);     // future flavor
-/// if (pending.accepted()) { bool happy = pending.future.get(); }
-/// service.handle(fhg::api::IsHappyRequest{"acme", 7, 1},     // protocol flavor
+/// service.handle(fhg::api::IsHappyRequest{"acme", 7, 123456789},
 ///                [](fhg::api::Response response) {
 ///                  if (response.ok()) { /* typed payload */ }
 ///                });
-/// service.drain();                                           // graceful shutdown
+/// auto pending = service.submit(fhg::api::NextGatheringRequest{"acme", 7, 0});
+/// fhg::api::Response next = pending.get();  // rejects arrive typed too
+/// service.drain();                          // graceful shutdown
 /// ```
 
 #include <atomic>
@@ -58,64 +58,17 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "fhg/api/handler.hpp"
 #include "fhg/api/protocol.hpp"
 #include "fhg/api/status.hpp"
-#include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
-#include "fhg/graph/graph.hpp"
 #include "fhg/obs/registry.hpp"
 #include "fhg/obs/trace.hpp"
 #include "fhg/service/metrics.hpp"
 
 namespace fhg::service {
-
-/// Why a submission was refused at admission.  Folded into the protocol's
-/// unified status vocabulary: the old `Reject` enum is now an alias for
-/// `api::StatusCode`, whose `kQueueFull`/`kStopped` members carry the exact
-/// semantics (and `api::status_name` the exact spellings) `Reject` had.
-using Reject = api::StatusCode;
-
-/// Human-readable reject name ("queue-full", "stopped").  Deprecated alias
-/// for `api::status_name`, kept so existing call sites keep compiling.
-[[nodiscard]] inline std::string_view reject_name(Reject reject) {
-  return api::status_name(reject);
-}
-
-/// What one asynchronously served request produced (callback flavor).
-template <typename T>
-struct Outcome {
-  std::optional<T> value;  ///< engaged iff the request succeeded
-  std::string error;       ///< failure description; empty on success
-  /// The typed failure reason (`kOk` on success) — the same vocabulary the
-  /// wire protocol speaks, so callback callers branch without string
-  /// matching.
-  api::StatusCode code = api::StatusCode::kOk;
-
-  /// True iff the request succeeded and `value` is engaged.
-  [[nodiscard]] bool ok() const noexcept { return value.has_value(); }
-};
-
-/// Completion callback, invoked exactly once on the shard's worker thread.
-/// Callbacks must be fast and must not re-enter the service with a blocking
-/// wait (the worker they would wait on is the one running them).
-template <typename T>
-using Callback = std::function<void(Outcome<T>)>;
-
-/// A future-flavor submission: accepted with a future, or rejected typed.
-template <typename T>
-struct Submission {
-  /// Fulfilled by the shard worker iff `accepted()`.  After a reject the
-  /// future holds a broken promise — check `accepted()` before waiting.
-  std::future<T> future;
-  std::optional<Reject> reject;  ///< engaged iff the request was refused
-
-  /// True iff the request was admitted and `future` will be fulfilled.
-  [[nodiscard]] bool accepted() const noexcept { return !reject.has_value(); }
-};
 
 /// Construction-time sizing of a `Service`.
 struct ServiceOptions {
@@ -132,8 +85,8 @@ struct ServiceOptions {
 };
 
 /// The sharded asynchronous serving front-end.  Thread-safe: any thread may
-/// submit; each accepted request is completed exactly once (future fulfilled
-/// or callback invoked) by its shard's worker, including during `drain()`.
+/// submit; each accepted request's callback runs exactly once on its shard's
+/// worker, including during `drain()`.
 class Service : public api::Handler {
  public:
   /// Builds the front-end over `engine` (not owned; must outlive the
@@ -195,41 +148,6 @@ class Service : public api::Handler {
   /// as typed statuses — the future never holds a broken promise).
   [[nodiscard]] std::future<api::Response> submit(api::Request request);
 
-  // -- Typed single-call flavors (thin shims over the same queue) -------------
-
-  /// Asynchronous membership query: is `v` happy on holiday `t` of
-  /// `instance`?  Future flavor; failures (unknown instance, node out of
-  /// range, replay limit) surface as `std::runtime_error` on the future.
-  [[nodiscard]] Submission<bool> is_happy(std::string instance, graph::NodeId v, std::uint64_t t);
-
-  /// Callback-flavor membership query: `done` receives the `Outcome` on the
-  /// shard worker.  Returns the reject reason if refused (then `done` is
-  /// never invoked), nullopt if accepted.
-  std::optional<Reject> is_happy(std::string instance, graph::NodeId v, std::uint64_t t,
-                                 Callback<bool> done);
-
-  /// Asynchronous next-gathering query: first happy holiday of `v` strictly
-  /// after `after`, or `engine::kNoGathering` when an aperiodic search gives
-  /// up.  Future flavor.
-  [[nodiscard]] Submission<std::uint64_t> next_gathering(std::string instance, graph::NodeId v,
-                                                         std::uint64_t after);
-
-  /// Callback-flavor next-gathering query.
-  std::optional<Reject> next_gathering(std::string instance, graph::NodeId v, std::uint64_t after,
-                                       Callback<std::uint64_t> done);
-
-  /// Asynchronous topology mutation of a dynamic instance.  Routed through
-  /// the owning shard's queue, so it serializes against that shard's queries
-  /// in submission order; queries of the same instance submitted afterwards
-  /// observe the post-mutation schedule.  Future flavor.
-  [[nodiscard]] Submission<engine::MutationResult> apply_mutations(
-      std::string instance, std::vector<dynamic::MutationCommand> commands);
-
-  /// Callback-flavor topology mutation.
-  std::optional<Reject> apply_mutations(std::string instance,
-                                        std::vector<dynamic::MutationCommand> commands,
-                                        Callback<engine::MutationResult> done);
-
   /// A consistent copy of every shard's counters (each shard's admission and
   /// serving counters are read under that shard's lock).
   [[nodiscard]] ServiceMetrics metrics() const;
@@ -250,21 +168,13 @@ class Service : public api::Handler {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// How a queued request reports back — exactly one alternative is active.
-  /// The typed single-call flavors complete promises/`Outcome` callbacks;
-  /// requests that entered through `handle` complete an `api::Response`.
-  using Completion =
-      std::variant<std::promise<bool>, Callback<bool>, std::promise<std::uint64_t>,
-                   Callback<std::uint64_t>, std::promise<engine::MutationResult>,
-                   Callback<engine::MutationResult>, api::ResponseCallback>;
-
   struct Request {
     api::Request body;  ///< the typed request; the variant index is the kind
     std::uint64_t trace_id = 0;    ///< nonzero = report spans to the trace ring
-    std::uint64_t request_id = 0;  ///< wire request id (0 for typed flavors)
+    std::uint64_t request_id = 0;  ///< wire request id (0 when not from a transport)
     Clock::time_point enqueued{};  ///< admission time (span start)
     Clock::time_point dequeued{};  ///< when the worker drained it (queue span end)
-    Completion done;
+    api::ResponseCallback done;    ///< invoked exactly once with the response
   };
 
   struct Shard {
@@ -284,7 +194,7 @@ class Service : public api::Handler {
   /// full, otherwise enqueue and wake the worker if it may be sleeping.
   /// `request` is consumed only on success — on a reject the caller keeps
   /// it, so `handle` can still deliver the typed reject response.
-  std::optional<Reject> enqueue(Request& request);
+  std::optional<api::StatusCode> enqueue(Request& request);
 
   /// Per-shard worker: drain the queue, coalesce query runs into batch
   /// calls, serialize mutations and admin requests between them; exit once
@@ -305,16 +215,10 @@ class Service : public api::Handler {
   /// engine's typed entry points.
   void serve_admin(Request& request, ShardMetrics& local);
 
-  /// Completes `request` with (status, value), recording latency as of
-  /// `now`.  `make_payload` lifts a value into the matching
-  /// `api::ResponsePayload` alternative for protocol-flavor completions.
-  template <typename T, typename MakePayload>
-  void finish(Request& request, api::Status status, std::optional<T> value,
-              Clock::time_point now, ShardMetrics& local, MakePayload make_payload);
-
-  /// Completes an admin request (always protocol-flavor) with `response`.
-  void finish_admin(Request& request, api::Response response, Clock::time_point now,
-                    ShardMetrics& local);
+  /// Completes `request` with `response`, recording latency (and a failure,
+  /// if `response` is one) as of `now`.
+  void finish(Request& request, api::Response response, Clock::time_point now,
+              ShardMetrics& local);
 
   /// Offers a completed traced request's spans to the slowest-trace ring
   /// (no-op when `request.trace_id` is zero).

@@ -11,8 +11,8 @@ namespace fhg::service {
 
 namespace {
 
-/// The admission-failure detail carried in protocol-flavor reject responses.
-std::string reject_detail(Reject reject) {
+/// The admission-failure detail carried in reject responses.
+std::string reject_detail(api::StatusCode reject) {
   return reject == api::StatusCode::kQueueFull
              ? "the owning shard's queue is at capacity"
              : "the service is draining or has been drained";
@@ -98,7 +98,7 @@ void Service::drain() {
   }
 }
 
-std::optional<Reject> Service::enqueue(Request& request) {
+std::optional<api::StatusCode> Service::enqueue(Request& request) {
   Shard& shard = *shards_[shard_of(api::routing_instance(request.body))];
   // Stamped outside the lock: the clock read must not lengthen the critical
   // section every submitter serializes on.
@@ -204,44 +204,8 @@ void Service::offer_trace(const Request& request, Clock::time_point now) {
       .total_us = us(now - request.enqueued)});
 }
 
-template <typename T, typename MakePayload>
-void Service::finish(Request& request, api::Status status, std::optional<T> value,
-                     Clock::time_point now, ShardMetrics& local, MakePayload make_payload) {
-  const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-      now - request.enqueued);
-  local.latency_us.record(static_cast<std::uint64_t>(waited.count()));
-  if (!status.ok()) {
-    ++local.failed;
-  }
-  offer_trace(request, now);
-  if (auto* promise = std::get_if<std::promise<T>>(&request.done)) {
-    if (status.ok()) {
-      promise->set_value(std::move(*value));
-    } else {
-      promise->set_exception(std::make_exception_ptr(std::runtime_error(status.detail)));
-    }
-    return;
-  }
-  if (auto* callback = std::get_if<Callback<T>>(&request.done)) {
-    if (*callback) {
-      (*callback)(Outcome<T>{std::move(value), std::move(status.detail), status.code});
-    }
-    return;
-  }
-  // Protocol flavor: the completion is an api::ResponseCallback.
-  auto& respond = std::get<api::ResponseCallback>(request.done);
-  if (respond) {
-    api::Response response;
-    if (status.ok()) {
-      response.payload = make_payload(std::move(*value));
-    }
-    response.status = std::move(status);
-    respond(std::move(response));
-  }
-}
-
-void Service::finish_admin(Request& request, api::Response response, Clock::time_point now,
-                           ShardMetrics& local) {
+void Service::finish(Request& request, api::Response response, Clock::time_point now,
+                     ShardMetrics& local) {
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       now - request.enqueued);
   local.latency_us.record(static_cast<std::uint64_t>(waited.count()));
@@ -249,11 +213,8 @@ void Service::finish_admin(Request& request, api::Response response, Clock::time
     ++local.failed;
   }
   offer_trace(request, now);
-  // Admin kinds are only reachable through `handle`, so the completion is
-  // always the protocol flavor.
-  auto& respond = std::get<api::ResponseCallback>(request.done);
-  if (respond) {
-    respond(std::move(response));
+  if (request.done) {
+    request.done(std::move(response));
   }
 }
 
@@ -264,22 +225,12 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
   const auto snapshot = engine_.query_snapshot();
   ++local.batches;
   local.batch_size.record(run.size());
-  const auto make_happy = [](bool happy) { return api::IsHappyResponse{happy}; };
-  const auto make_next = [](std::uint64_t holiday) {
-    return api::NextGatheringResponse{holiday};
-  };
   // Resolve and validate each request individually, so one unknown instance
   // or out-of-range node fails that request alone instead of poisoning the
   // whole coalesced batch (the kernels throw on any invalid probe).
   const auto fail_query = [&](Request& request, const QueryView& view, api::Status status) {
-    const auto now = Clock::now();
-    if (view.membership) {
-      finish<bool>(request, std::move(status), std::nullopt, now, local, make_happy);
-      ++local.queries;
-    } else {
-      finish<std::uint64_t>(request, std::move(status), std::nullopt, now, local, make_next);
-      ++local.next_gatherings;
-    }
+    finish(request, api::Response{std::move(status), {}}, Clock::now(), local);
+    ++(view.membership ? local.queries : local.next_gatherings);
   };
   std::vector<engine::Probe> member_probes;
   std::vector<Request*> member_requests;
@@ -343,8 +294,8 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
       snapshot->query_batch(member_probes, answers);
       const auto now = Clock::now();
       for (std::size_t i = 0; i < member_requests.size(); ++i) {
-        finish<bool>(*member_requests[i], api::Status::good(), answers[i] != 0, now, local,
-                     make_happy);
+        finish(*member_requests[i],
+               {api::Status::good(), api::IsHappyResponse{answers[i] != 0}}, now, local);
       }
     } catch (const std::exception&) {
       const auto now = Clock::now();
@@ -352,9 +303,9 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
         const QueryView view = view_of(request->body);
         try {
           const bool happy = engine_.is_happy(view.instance, view.node, view.holiday);
-          finish<bool>(*request, api::Status::good(), happy, now, local, make_happy);
+          finish(*request, {api::Status::good(), api::IsHappyResponse{happy}}, now, local);
         } catch (const std::exception& single) {
-          finish<bool>(*request, single_status(single), std::nullopt, now, local, make_happy);
+          finish(*request, {single_status(single), {}}, now, local);
         }
       }
     }
@@ -368,8 +319,8 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
       snapshot->next_gathering_batch(next_probes, answers);
       const auto now = Clock::now();
       for (std::size_t i = 0; i < next_requests.size(); ++i) {
-        finish<std::uint64_t>(*next_requests[i], api::Status::good(), answers[i], now, local,
-                              make_next);
+        finish(*next_requests[i],
+               {api::Status::good(), api::NextGatheringResponse{answers[i]}}, now, local);
       }
     } catch (const std::exception&) {
       const auto now = Clock::now();
@@ -377,11 +328,10 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
         const QueryView view = view_of(request->body);
         try {
           const auto next = engine_.next_gathering(view.instance, view.node, view.holiday);
-          finish<std::uint64_t>(*request, api::Status::good(),
-                                next.value_or(engine::kNoGathering), now, local, make_next);
+          const api::NextGatheringResponse answer{next.value_or(engine::kNoGathering)};
+          finish(*request, {api::Status::good(), answer}, now, local);
         } catch (const std::exception& single) {
-          finish<std::uint64_t>(*request, single_status(single), std::nullopt, now, local,
-                                make_next);
+          finish(*request, {single_status(single), {}}, now, local);
         }
       }
     }
@@ -394,25 +344,22 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
 void Service::serve_mutation(Request& request, ShardMetrics& local) {
   ++local.mutations;
   auto& mutate = std::get<api::ApplyMutationsRequest>(request.body);
-  const auto make_payload = [](engine::MutationResult result) {
-    return api::ApplyMutationsResponse{result.applied, result.recolors, result.table_version};
-  };
-  api::Status status;
-  std::optional<engine::MutationResult> result;
+  api::Response response;
   try {
-    result = engine_.apply_mutations(mutate.instance, mutate.commands);
+    const engine::MutationResult result = engine_.apply_mutations(mutate.instance, mutate.commands);
+    response.payload =
+        api::ApplyMutationsResponse{result.applied, result.recolors, result.table_version};
   } catch (const std::out_of_range& e) {
-    status = api::Status::error(api::StatusCode::kNotFound, e.what());
+    response = api::Response::error(api::StatusCode::kNotFound, e.what());
   } catch (const std::invalid_argument& e) {
-    status = api::Status::error(api::StatusCode::kInvalidArgument, e.what());
+    response = api::Response::error(api::StatusCode::kInvalidArgument, e.what());
   } catch (const std::logic_error& e) {
     // Engine::apply_mutations throws logic_error for non-dynamic tenants.
-    status = api::Status::error(api::StatusCode::kFailedPrecondition, e.what());
+    response = api::Response::error(api::StatusCode::kFailedPrecondition, e.what());
   } catch (const std::exception& e) {
-    status = api::Status::error(api::StatusCode::kInternal, e.what());
+    response = api::Response::error(api::StatusCode::kInternal, e.what());
   }
-  finish<engine::MutationResult>(request, std::move(status), std::move(result), Clock::now(),
-                                 local, make_payload);
+  finish(request, std::move(response), Clock::now(), local);
 }
 
 void Service::serve_admin(Request& request, ShardMetrics& local) {
@@ -528,7 +475,7 @@ void Service::serve_admin(Request& request, ShardMetrics& local) {
       response = api::Response::error(api::StatusCode::kInvalidArgument, e.what());
     }
   }
-  finish_admin(request, std::move(response), Clock::now(), local);
+  finish(request, std::move(response), Clock::now(), local);
 }
 
 void Service::handle(api::Request request, api::ResponseCallback done) {
@@ -544,9 +491,8 @@ void Service::handle(api::Request request, const api::RequestContext& context,
   if (const auto reject = enqueue(internal)) {
     // The unified contract: rejects are typed responses too, delivered
     // synchronously on the submitting thread.
-    auto& respond = std::get<api::ResponseCallback>(internal.done);
-    if (respond) {
-      respond(api::Response::error(*reject, reject_detail(*reject)));
+    if (internal.done) {
+      internal.done(api::Response::error(*reject, reject_detail(*reject)));
     }
   }
 }
@@ -557,58 +503,6 @@ std::future<api::Response> Service::submit(api::Request request) {
   handle(std::move(request),
          [promise](api::Response response) { promise->set_value(std::move(response)); });
   return future;
-}
-
-Submission<bool> Service::is_happy(std::string instance, graph::NodeId v, std::uint64_t t) {
-  std::promise<bool> promise;
-  Submission<bool> submission{.future = promise.get_future(), .reject = std::nullopt};
-  Request request{.body = api::IsHappyRequest{std::move(instance), v, t},
-                  .done = std::move(promise)};
-  submission.reject = enqueue(request);
-  return submission;
-}
-
-std::optional<Reject> Service::is_happy(std::string instance, graph::NodeId v, std::uint64_t t,
-                                        Callback<bool> done) {
-  Request request{.body = api::IsHappyRequest{std::move(instance), v, t},
-                  .done = std::move(done)};
-  return enqueue(request);
-}
-
-Submission<std::uint64_t> Service::next_gathering(std::string instance, graph::NodeId v,
-                                                  std::uint64_t after) {
-  std::promise<std::uint64_t> promise;
-  Submission<std::uint64_t> submission{.future = promise.get_future(), .reject = std::nullopt};
-  Request request{.body = api::NextGatheringRequest{std::move(instance), v, after},
-                  .done = std::move(promise)};
-  submission.reject = enqueue(request);
-  return submission;
-}
-
-std::optional<Reject> Service::next_gathering(std::string instance, graph::NodeId v,
-                                              std::uint64_t after, Callback<std::uint64_t> done) {
-  Request request{.body = api::NextGatheringRequest{std::move(instance), v, after},
-                  .done = std::move(done)};
-  return enqueue(request);
-}
-
-Submission<engine::MutationResult> Service::apply_mutations(
-    std::string instance, std::vector<dynamic::MutationCommand> commands) {
-  std::promise<engine::MutationResult> promise;
-  Submission<engine::MutationResult> submission{.future = promise.get_future(),
-                                                .reject = std::nullopt};
-  Request request{.body = api::ApplyMutationsRequest{std::move(instance), std::move(commands)},
-                  .done = std::move(promise)};
-  submission.reject = enqueue(request);
-  return submission;
-}
-
-std::optional<Reject> Service::apply_mutations(std::string instance,
-                                               std::vector<dynamic::MutationCommand> commands,
-                                               Callback<engine::MutationResult> done) {
-  Request request{.body = api::ApplyMutationsRequest{std::move(instance), std::move(commands)},
-                  .done = std::move(done)};
-  return enqueue(request);
 }
 
 ServiceMetrics Service::metrics() const {
@@ -649,7 +543,7 @@ api::GetStatsResponse Service::stats(const api::GetStatsRequest& options) const 
         .kind = obs::MetricKind::kGauge,
         .value = shard.queue_high_water});
     if (options.include_histograms) {
-      const auto histogram = [&](std::string name, const Histogram& h) {
+      const auto histogram = [&](std::string name, const obs::Histogram& h) {
         name += "{shard=\"" + std::to_string(i) + "\"}";
         out.metrics.push_back(obs::MetricSample{.name = std::move(name),
                                                 .kind = obs::MetricKind::kHistogram,

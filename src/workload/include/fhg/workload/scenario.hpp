@@ -9,7 +9,7 @@
 /// `ScenarioGenerator` expands a spec deterministically: tenant `i`'s graph,
 /// scheduler recipe, every probe of every query round, and every churn
 /// decision are pure functions of `(spec, i)`, so the engine, the
-/// `engine_server` example, and the benchmarks all consume *identical*
+/// `fhg_serve` example, and the benchmarks all consume *identical*
 /// workloads for a given spec, regardless of thread count or call order.
 /// `fingerprint()` serializes the whole expansion so determinism is
 /// byte-checkable in tests.
@@ -181,7 +181,7 @@ class ScenarioGenerator {
   /// The seeded marry/divorce/add-node command mix slot `i` receives at
   /// mutation round `round`, with edge endpoints drawn from `[0, nodes)` —
   /// a pure function of `(spec, i, round, nodes)`, so every consumer
-  /// (engine_server, tests, benchmarks) derives identical event streams.
+  /// (fhg_serve, tests, benchmarks) derives identical event streams.
   [[nodiscard]] std::vector<dynamic::MutationCommand> mutation_commands(
       std::size_t i, std::uint64_t round, graph::NodeId nodes) const;
 

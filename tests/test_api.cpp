@@ -150,8 +150,8 @@ std::vector<fa::Response> all_response_kinds() {
 // ------------------------------------------------------------- status ------
 
 TEST(ApiStatus, NamesCoverEveryCodeAndKeepRejectSpellings) {
-  // The admission names must match the historical service::reject_name
-  // spellings — log grep compatibility is part of the contract.
+  // The admission names keep their historical spellings — log grep
+  // compatibility is part of the contract.
   EXPECT_EQ(fa::status_name(fa::StatusCode::kQueueFull), "queue-full");
   EXPECT_EQ(fa::status_name(fa::StatusCode::kStopped), "stopped");
   for (std::uint64_t code = 0; code < fa::kNumStatusCodes; ++code) {

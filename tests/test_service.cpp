@@ -1,27 +1,30 @@
-// Tests for fhg::service — the sharded asynchronous request pipeline:
-// typed backpressure at admission, drain-on-shutdown completing every
-// accepted request, mutation/query serialization through one shard's FIFO,
-// and cross-shard determinism of answers against the direct synchronous
-// engine path.
+// Tests for fhg::service — the sharded asynchronous request pipeline, driven
+// through its one entry point (`handle`, and `submit` on top of it): typed
+// backpressure at admission, drain-on-shutdown completing every accepted
+// request, mutation/query serialization through one shard's FIFO, and
+// cross-shard determinism of answers against the direct synchronous engine
+// path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fhg/api/protocol.hpp"
 #include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
 #include "fhg/graph/generators.hpp"
+#include "fhg/obs/histogram.hpp"
 #include "fhg/service/metrics.hpp"
 #include "fhg/service/service.hpp"
 #include "fhg/workload/scenario.hpp"
@@ -30,6 +33,7 @@ namespace fa = fhg::api;
 namespace fd = fhg::dynamic;
 namespace fe = fhg::engine;
 namespace fg = fhg::graph;
+namespace fo = fhg::obs;
 namespace fs = fhg::service;
 namespace fw = fhg::workload;
 
@@ -64,36 +68,58 @@ std::unique_ptr<fe::Engine> make_dynamic_single() {
   return engine;
 }
 
+/// The answer a successful IsHappy response carries.
+bool happy_of(const fa::Response& response) {
+  EXPECT_TRUE(response.ok()) << response.status.detail;
+  const auto* happy = std::get_if<fa::IsHappyResponse>(&response.payload);
+  return happy != nullptr && happy->happy;
+}
+
+/// The holiday a successful NextGathering response carries (0, never a
+/// valid answer, when there is none).
+std::uint64_t next_of(const fa::Response& response) {
+  EXPECT_TRUE(response.ok()) << response.status.detail;
+  const auto* next = std::get_if<fa::NextGatheringResponse>(&response.payload);
+  return next != nullptr ? next->holiday : 0;
+}
+
+/// The result a successful ApplyMutations response carries.
+fa::ApplyMutationsResponse mutation_of(const fa::Response& response) {
+  EXPECT_TRUE(response.ok()) << response.status.detail;
+  const auto* mutation = std::get_if<fa::ApplyMutationsResponse>(&response.payload);
+  return mutation != nullptr ? *mutation : fa::ApplyMutationsResponse{};
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- metrics -------
 
 TEST(ServiceMetrics, HistogramBucketsArePowersOfTwo) {
-  EXPECT_EQ(fs::Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(fs::Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(fs::Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(fs::Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(fs::Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(fs::Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(fs::Histogram::bucket_of(8), 4u);
+  EXPECT_EQ(fo::Histogram::bucket_of(0), 0u);
+  EXPECT_EQ(fo::Histogram::bucket_of(1), 1u);
+  EXPECT_EQ(fo::Histogram::bucket_of(2), 2u);
+  EXPECT_EQ(fo::Histogram::bucket_of(3), 2u);
+  EXPECT_EQ(fo::Histogram::bucket_of(4), 3u);
+  EXPECT_EQ(fo::Histogram::bucket_of(7), 3u);
+  EXPECT_EQ(fo::Histogram::bucket_of(8), 4u);
   // Values past the last exact bucket clamp into it.
-  EXPECT_EQ(fs::Histogram::bucket_of(~std::uint64_t{0}), fs::Histogram::kBuckets - 1);
-  EXPECT_EQ(fs::Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(fs::Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(fs::Histogram::bucket_floor(4), 8u);
+  EXPECT_EQ(fo::Histogram::bucket_of(~std::uint64_t{0}), fo::Histogram::kBuckets - 1);
+  EXPECT_EQ(fo::Histogram::bucket_floor(0), 0u);
+  EXPECT_EQ(fo::Histogram::bucket_floor(1), 1u);
+  EXPECT_EQ(fo::Histogram::bucket_floor(4), 8u);
 }
 
 TEST(ServiceMetrics, HistogramRecordsTotalsAndMerges) {
-  fs::Histogram a;
+  fo::Histogram a;
   a.record(0);
   a.record(5);
   a.record(5);
   EXPECT_EQ(a.total(), 3u);
-  fs::Histogram b;
+  fo::Histogram b;
   b.record(1);
   b.merge(a);
   EXPECT_EQ(b.total(), 4u);
-  EXPECT_EQ(b.buckets[fs::Histogram::bucket_of(5)], 2u);
+  EXPECT_EQ(b.buckets[fo::Histogram::bucket_of(5)], 2u);
 }
 
 TEST(ServiceMetrics, ShardMergeSumsCountersAndMaxesHighWater) {
@@ -114,29 +140,38 @@ TEST(Service, BackpressureRejectsTypedWhenQueueFull) {
   auto engine = make_dynamic_single();
   // Deferred start: nothing drains, so the queue fills deterministically.
   fs::Service service(*engine, {.shards = 1, .queue_capacity = 4, .start = false});
-  std::vector<fs::Submission<bool>> accepted;
+  std::vector<std::future<fa::Response>> accepted;
   for (int i = 0; i < 4; ++i) {
-    auto pending = service.is_happy("dyn", 0, 1 + static_cast<std::uint64_t>(i));
-    ASSERT_TRUE(pending.accepted()) << i;
-    accepted.push_back(std::move(pending));
+    const std::uint64_t holiday = 1 + static_cast<std::uint64_t>(i);
+    accepted.push_back(service.submit(fa::IsHappyRequest{"dyn", 0, holiday}));
   }
-  auto refused = service.is_happy("dyn", 0, 99);
-  ASSERT_FALSE(refused.accepted());
-  EXPECT_EQ(*refused.reject, fs::Reject::kQueueFull);
-  EXPECT_EQ(fs::reject_name(*refused.reject), "queue-full");
 
-  // The callback flavor is refused the same way, without invoking `done`.
-  std::atomic<int> invoked{0};
-  const auto reject = service.is_happy("dyn", 0, 99, [&](fs::Outcome<bool>) { ++invoked; });
-  ASSERT_TRUE(reject.has_value());
-  EXPECT_EQ(*reject, fs::Reject::kQueueFull);
+  // The fifth request is refused synchronously: `done` has already run, once,
+  // with the typed verdict by the time `handle` returns.
+  int invoked = 0;
+  fa::Response refused;
+  service.handle(fa::IsHappyRequest{"dyn", 0, 99}, [&](fa::Response response) {
+    ++invoked;
+    refused = std::move(response);
+  });
+  ASSERT_EQ(invoked, 1);
+  EXPECT_EQ(refused.status.code, fa::StatusCode::kQueueFull);
+  EXPECT_EQ(refused.status.name(), "queue-full");
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(refused.payload));
+
+  // The future flavor is refused the same way: already resolved, never broken.
+  auto refused_future = service.submit(fa::IsHappyRequest{"dyn", 0, 99});
+  ASSERT_EQ(refused_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(refused_future.get().status.code, fa::StatusCode::kQueueFull);
 
   // Draining starts the worker: every *accepted* request still completes.
   service.drain();
   for (auto& pending : accepted) {
-    EXPECT_NO_THROW((void)pending.future.get());
+    const fa::Response response = pending.get();
+    EXPECT_TRUE(response.ok()) << response.status.detail;
+    EXPECT_TRUE(std::holds_alternative<fa::IsHappyResponse>(response.payload));
   }
-  EXPECT_EQ(invoked.load(), 0);
+  EXPECT_EQ(invoked, 1);
   const auto totals = service.metrics().totals();
   EXPECT_EQ(totals.accepted, 4u);
   EXPECT_EQ(totals.rejected_full, 2u);
@@ -148,36 +183,44 @@ TEST(Service, StoppedServiceRejectsTyped) {
   fs::Service service(*engine, {.shards = 2});
   service.drain();
   EXPECT_TRUE(service.stopped());
-  auto refused = service.next_gathering("dyn", 0, 0);
-  ASSERT_FALSE(refused.accepted());
-  EXPECT_EQ(*refused.reject, fs::Reject::kStopped);
-  EXPECT_EQ(fs::reject_name(*refused.reject), "stopped");
-  EXPECT_GE(service.metrics().totals().rejected_stopped, 1u);
+  int invoked = 0;
+  fa::Response refused;
+  service.handle(fa::NextGatheringRequest{"dyn", 0, 0}, [&](fa::Response response) {
+    ++invoked;
+    refused = std::move(response);
+  });
+  ASSERT_EQ(invoked, 1);
+  EXPECT_EQ(refused.status.code, fa::StatusCode::kStopped);
+  EXPECT_EQ(refused.status.name(), "stopped");
+  EXPECT_EQ(service.submit(fa::IsHappyRequest{"dyn", 0, 1}).get().status.code,
+            fa::StatusCode::kStopped);
+  EXPECT_EQ(service.metrics().totals().rejected_stopped, 2u);
 }
 
 TEST(Service, UnknownInstanceAndBadNodeFailPerRequest) {
   auto engine = make_dynamic_single();
-  fs::Service service(*engine, {.shards = 2});
-  // A failing request must not poison valid ones coalesced with it.
-  auto good = service.is_happy("dyn", 0, 1);
-  auto missing = service.is_happy("no-such-tenant", 0, 1);
-  auto bad_node = service.is_happy("dyn", 1000, 1);
-  ASSERT_TRUE(good.accepted());
-  ASSERT_TRUE(missing.accepted());
-  ASSERT_TRUE(bad_node.accepted());
-  EXPECT_NO_THROW((void)good.future.get());
-  EXPECT_THROW((void)missing.future.get(), std::runtime_error);
-  EXPECT_THROW((void)bad_node.future.get(), std::runtime_error);
+  // One shard and a deferred start put all four requests in one drained
+  // batch: a failing request must not poison valid ones coalesced with it.
+  fs::Service service(*engine, {.shards = 1, .start = false});
+  auto good = service.submit(fa::IsHappyRequest{"dyn", 0, 1});
+  auto missing = service.submit(fa::IsHappyRequest{"no-such-tenant", 0, 1});
+  auto bad_node = service.submit(fa::IsHappyRequest{"dyn", 1000, 1});
+  auto missing_next = service.submit(fa::NextGatheringRequest{"no-such-tenant", 0, 0});
+  service.start();
 
-  std::atomic<bool> saw_error{false};
-  ASSERT_FALSE(service.next_gathering("no-such-tenant", 0, 0,
-                                      [&](fs::Outcome<std::uint64_t> outcome) {
-                                        saw_error = !outcome.ok() && !outcome.error.empty();
-                                      })
-                   .has_value());
+  const fa::Response good_response = good.get();
+  ASSERT_TRUE(good_response.ok()) << good_response.status.detail;
+  EXPECT_EQ(std::get<fa::IsHappyResponse>(good_response.payload).happy,
+            engine->is_happy("dyn", 0, 1));
+  for (auto* pending : {&missing, &missing_next}) {
+    const fa::Response response = pending->get();
+    EXPECT_EQ(response.status.code, fa::StatusCode::kNotFound);
+    EXPECT_FALSE(response.status.detail.empty());
+    EXPECT_TRUE(std::holds_alternative<std::monostate>(response.payload));
+  }
+  EXPECT_EQ(bad_node.get().status.code, fa::StatusCode::kInvalidArgument);
   service.drain();
-  EXPECT_TRUE(saw_error.load());
-  EXPECT_GE(service.metrics().totals().failed, 3u);
+  EXPECT_EQ(service.metrics().totals().failed, 3u);
 }
 
 // ------------------------------------------------------------ drain --------
@@ -188,22 +231,23 @@ TEST(Service, DrainCompletesEveryAcceptedRequest) {
   const fw::ScenarioGenerator generator(spec);
   fs::Service service(*engine, {.shards = 4, .queue_capacity = 8192});
   std::atomic<std::uint64_t> completed{0};
-  std::uint64_t accepted = 0;
+  std::atomic<std::uint64_t> failed{0};
+  std::uint64_t rejected = 0;  // admission verdicts arrive on this thread
   const auto stream = generator.request_stream(2000, 3);
   for (const fa::Request& request : stream) {
-    std::optional<fs::Reject> reject;
-    if (const auto* next = std::get_if<fa::NextGatheringRequest>(&request)) {
-      reject = service.next_gathering(next->instance, next->node, next->after,
-                                      [&](fs::Outcome<std::uint64_t>) { ++completed; });
-    } else {
-      const auto& happy = std::get<fa::IsHappyRequest>(request);
-      reject = service.is_happy(happy.instance, happy.node, happy.holiday,
-                                [&](fs::Outcome<bool>) { ++completed; });
-    }
-    accepted += reject.has_value() ? 0 : 1;
+    service.handle(request, [&](fa::Response response) {
+      if (response.status.code == fa::StatusCode::kQueueFull) {
+        ++rejected;
+        return;
+      }
+      ++completed;
+      failed += response.ok() ? 0 : 1;
+    });
   }
   service.drain();
+  const std::uint64_t accepted = stream.size() - rejected;
   EXPECT_EQ(completed.load(), accepted);
+  EXPECT_EQ(failed.load(), 0u);
   const auto totals = service.metrics().totals();
   EXPECT_EQ(totals.accepted, accepted);
   EXPECT_EQ(totals.queries + totals.next_gatherings, accepted);
@@ -230,13 +274,11 @@ TEST(Service, MutationSerializesAgainstQueriesOnOneShard) {
   const std::vector<fd::MutationCommand> first{fd::insert_edge_command(3, 6)};
   const std::vector<fd::MutationCommand> second{fd::erase_edge_command(3, 6),
                                                 fd::insert_edge_command(1, 5)};
-  auto q1 = service.is_happy("dyn", node, holiday);
-  auto m1 = service.apply_mutations("dyn", first);
-  auto q2 = service.is_happy("dyn", node, holiday);
-  auto m2 = service.apply_mutations("dyn", second);
-  auto q3 = service.is_happy("dyn", node, holiday);
-  ASSERT_TRUE(q1.accepted() && m1.accepted() && q2.accepted() && m2.accepted() &&
-              q3.accepted());
+  auto q1 = service.submit(fa::IsHappyRequest{"dyn", node, holiday});
+  auto m1 = service.submit(fa::ApplyMutationsRequest{"dyn", first});
+  auto q2 = service.submit(fa::IsHappyRequest{"dyn", node, holiday});
+  auto m2 = service.submit(fa::ApplyMutationsRequest{"dyn", second});
+  auto q3 = service.submit(fa::IsHappyRequest{"dyn", node, holiday});
   service.start();
   service.drain();
 
@@ -248,11 +290,11 @@ TEST(Service, MutationSerializesAgainstQueriesOnOneShard) {
   const fe::MutationResult twin_m2 = twin->apply_mutations("dyn", second);
   const bool expect3 = twin->is_happy("dyn", node, holiday);
 
-  EXPECT_EQ(q1.future.get(), expect1);
-  EXPECT_EQ(q2.future.get(), expect2);
-  EXPECT_EQ(q3.future.get(), expect3);
-  const fe::MutationResult r1 = m1.future.get();
-  const fe::MutationResult r2 = m2.future.get();
+  EXPECT_EQ(happy_of(q1.get()), expect1);
+  EXPECT_EQ(happy_of(q2.get()), expect2);
+  EXPECT_EQ(happy_of(q3.get()), expect3);
+  const fa::ApplyMutationsResponse r1 = mutation_of(m1.get());
+  const fa::ApplyMutationsResponse r2 = mutation_of(m2.get());
   EXPECT_EQ(r1.applied, twin_m1.applied);
   EXPECT_EQ(r2.applied, twin_m2.applied);
   EXPECT_EQ(r1.table_version, twin_m1.table_version);
@@ -268,10 +310,12 @@ TEST(Service, MutatingNonDynamicInstanceFailsTyped) {
   auto engine = make_fleet(spec);
   const fw::ScenarioGenerator generator(spec);
   fs::Service service(*engine, {.shards = 2});
-  auto pending =
-      service.apply_mutations(generator.tenant_name(0), {fd::insert_edge_command(0, 2)});
-  ASSERT_TRUE(pending.accepted());
-  EXPECT_THROW((void)pending.future.get(), std::runtime_error);
+  const fa::Response response =
+      service
+          .submit(fa::ApplyMutationsRequest{generator.tenant_name(0),
+                                            {fd::insert_edge_command(0, 2)}})
+          .get();
+  EXPECT_EQ(response.status.code, fa::StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------- determinism ----------
@@ -284,31 +328,24 @@ TEST(Service, AnswersMatchDirectEngineAcrossShardCounts) {
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     fs::Service service(*engine, {.shards = shards, .queue_capacity = 4096});
-    std::vector<std::pair<const fa::IsHappyRequest*, fs::Submission<bool>>> memberships;
-    std::vector<std::pair<const fa::NextGatheringRequest*, fs::Submission<std::uint64_t>>> nexts;
+    std::vector<std::future<fa::Response>> pending;
+    pending.reserve(stream.size());
     for (const fa::Request& request : stream) {
-      if (const auto* happy = std::get_if<fa::IsHappyRequest>(&request)) {
-        auto pending = service.is_happy(happy->instance, happy->node, happy->holiday);
-        ASSERT_TRUE(pending.accepted());
-        memberships.emplace_back(happy, std::move(pending));
-      } else {
-        const auto& next = std::get<fa::NextGatheringRequest>(request);
-        auto pending = service.next_gathering(next.instance, next.node, next.after);
-        ASSERT_TRUE(pending.accepted());
-        nexts.emplace_back(&next, std::move(pending));
-      }
+      pending.push_back(service.submit(request));
     }
     service.drain();
-    for (auto& [request, pending] : memberships) {
-      EXPECT_EQ(pending.future.get(),
-                engine->is_happy(request->instance, request->node, request->holiday))
-          << shards << " shards, instance " << request->instance;
-    }
-    for (auto& [request, pending] : nexts) {
-      EXPECT_EQ(pending.future.get(),
-                engine->next_gathering(request->instance, request->node, request->after)
-                    .value_or(fe::kNoGathering))
-          << shards << " shards, instance " << request->instance;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const fa::Response response = pending[i].get();
+      if (const auto* happy = std::get_if<fa::IsHappyRequest>(&stream[i])) {
+        EXPECT_EQ(happy_of(response),
+                  engine->is_happy(happy->instance, happy->node, happy->holiday))
+            << shards << " shards, instance " << happy->instance;
+      } else {
+        const auto& next = std::get<fa::NextGatheringRequest>(stream[i]);
+        EXPECT_EQ(next_of(response), engine->next_gathering(next.instance, next.node, next.after)
+                                         .value_or(fe::kNoGathering))
+            << shards << " shards, instance " << next.instance;
+      }
     }
   }
 }
@@ -326,27 +363,23 @@ TEST(Service, ConcurrentSubmittersAllComplete) {
   clients.reserve(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const auto stream = generator.request_stream(kPerClient, 100 + c);
-      for (const fa::Request& request : stream) {
-        // Every request degrades to a membership probe here: the test
-        // exercises admission under contention, not answer shapes.
-        const auto [name, node, holiday] = [&] {
-          if (const auto* next = std::get_if<fa::NextGatheringRequest>(&request)) {
-            return std::tuple<std::string, fg::NodeId, std::uint64_t>(next->instance,
-                                                                      next->node, next->after);
-          }
-          const auto& happy = std::get<fa::IsHappyRequest>(request);
-          return std::tuple<std::string, fg::NodeId, std::uint64_t>(happy.instance, happy.node,
-                                                                    happy.holiday);
-        }();
+      for (const fa::Request& request : generator.request_stream(kPerClient, 100 + c)) {
         for (;;) {
-          const auto reject = service.is_happy(name, node, holiday,
-                                               [&](fs::Outcome<bool>) { ++completed; });
-          if (!reject) {
+          // A reject is delivered before `handle` returns, on this thread.
+          fa::StatusCode reject = fa::StatusCode::kOk;
+          service.handle(request, [&](fa::Response response) {
+            const fa::StatusCode code = response.status.code;
+            if (code == fa::StatusCode::kQueueFull || code == fa::StatusCode::kStopped) {
+              reject = code;
+              return;
+            }
+            ++completed;
+          });
+          if (reject == fa::StatusCode::kOk) {
             ++submitted;
             break;
           }
-          ASSERT_EQ(*reject, fs::Reject::kQueueFull);  // bounded queue, not stopped
+          ASSERT_EQ(reject, fa::StatusCode::kQueueFull);  // bounded queue, not stopped
           std::this_thread::yield();
         }
       }
