@@ -15,6 +15,15 @@
 // random-geometric) and, for the acceptance configuration, a 10k-instance
 // fleet at 64k probes per batch — where `batch` must beat `name-lookup` by
 // >= 5x (tools/check_bench.py enforces this from the JSON output).
+//
+// The small-batch series run `QuerySnapshot::query_batch` on the same
+// 10k-instance fleet with 1 and 16 probes per batch — the sizes a
+// closed-loop client and the service's coalescing actually produce — and
+// with 1250 and 1251: 1250 is the largest batch that still groups by
+// comparison sort (1250 * 8 <= 10000), 1251 the smallest that takes the
+// counting sort, so that pair compares the two grouping paths at the
+// switch.  A batch must not pay for the fleet it does not touch: CI gates
+// the 1- and 16-probe rates against `single-name` per probe.
 
 #include <benchmark/benchmark.h>
 
@@ -77,6 +86,23 @@ void BM_QueryBatch(benchmark::State& state, const std::string& scenario, std::si
     for (const std::uint8_t m : out) {
       hits += m;
     }
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * probes.size()));
+  state.counters["probes"] = static_cast<double>(probes.size());
+}
+
+/// One snapshot batch of `probes_n` probes per iteration, straight on the
+/// held snapshot (no engine telemetry), reusing the output buffer — the
+/// per-batch cost the service pays for each coalesced run.
+void BM_SmallBatch(benchmark::State& state, const std::string& scenario, std::size_t probes_n) {
+  Fleet& fleet = fleet_for(scenario);
+  const std::vector<engine::Probe> probes = probe_set(fleet, probes_n);
+  std::vector<std::uint8_t> out(probes.size());
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    fleet.snapshot->query_batch(probes, out);
+    hits += out[0];
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * probes.size()));
@@ -172,6 +198,12 @@ void register_all() {
   benchmark::RegisterBenchmark("single-name/acceptance-10k-64k", [](benchmark::State& s) {
     BM_QuerySingleName(s, kAcceptance, kAcceptanceProbes);
   });
+  for (const std::size_t probes : {1, 16, 1250, 1251}) {
+    const std::string name = "small-batch-" + std::to_string(probes) + "/acceptance-10k";
+    benchmark::RegisterBenchmark(name.c_str(), [probes](benchmark::State& s) {
+      BM_SmallBatch(s, kAcceptance, probes);
+    });
+  }
 }
 
 }  // namespace

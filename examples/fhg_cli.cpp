@@ -27,6 +27,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -42,6 +43,8 @@
 #include "fhg/core/round_robin.hpp"
 #include "fhg/graph/generators.hpp"
 #include "fhg/graph/io.hpp"
+
+#include "cli_options.hpp"
 
 namespace {
 
@@ -175,14 +178,9 @@ std::uint64_t degree_bucket_local(std::uint32_t d) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> options;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      usage("expected an option, got '" + key + "'");
-    }
-    options[key.substr(2)] = argv[i + 1];
-  }
+  static const std::set<std::string> known{"graph", "scheduler", "horizon",
+                                           "seed",  "code",      "print-holidays"};
+  auto options = examples::parse_options(argc, argv, 1, known, "", usage);
   if (!options.count("graph") || !options.count("scheduler")) {
     usage("--graph and --scheduler are required");
   }

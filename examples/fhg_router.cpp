@@ -36,6 +36,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,12 @@
 #include "fhg/obs/http.hpp"
 #include "fhg/obs/registry.hpp"
 
+#include "cli_options.hpp"
+
 namespace {
 
 using namespace fhg;
+using examples::uint_option;
 
 [[noreturn]] void usage(const std::string& error) {
   std::cerr
@@ -66,22 +70,16 @@ using namespace fhg;
   std::exit(2);
 }
 
-/// `--key value` option map over `argv[first..]`.
-std::map<std::string, std::string> parse_options(int argc, char** argv, int first) {
-  std::map<std::string, std::string> options;
-  for (int i = first; i + 1 < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      usage("expected an option, got '" + key + "'");
-    }
-    options[key.substr(2)] = argv[i + 1];
-  }
-  return options;
-}
-
-std::uint64_t uint_option(std::map<std::string, std::string>& options, const std::string& key,
-                          std::uint64_t fallback) {
-  return options.count(key) ? std::strtoull(options[key].c_str(), nullptr, 10) : fallback;
+/// The options each mode reads.
+const std::map<std::string, std::set<std::string>>& mode_options() {
+  static const std::map<std::string, std::set<std::string>> modes{
+      {"route",
+       {"backends", "host", "port", "port-file", "stats-port", "vnodes", "workers",
+        "probe-interval-ms", "probe-failures", "retry", "replicate", "router-id"}},
+      {"topology", {"connect", "backends", "instance", "vnodes"}},
+      {"drain", {"connect", "backend"}},
+  };
+  return modes;
 }
 
 /// Splits `HOST:PORT`.
@@ -299,15 +297,17 @@ int main(int argc, char** argv) {
     usage("missing mode (route | topology | drain)");
   }
   const std::string mode = argv[1];
-  auto options = parse_options(argc, argv, 2);
+  const auto known = mode_options().find(mode);
+  if (known == mode_options().end()) {
+    usage("unknown mode '" + mode + "'");
+  }
+  auto options =
+      examples::parse_options(argc, argv, 2, known->second, " for " + mode + " mode", usage);
   if (mode == "route") {
     return run_route(std::move(options));
   }
   if (mode == "topology") {
     return run_topology(std::move(options));
   }
-  if (mode == "drain") {
-    return run_drain(std::move(options));
-  }
-  usage("unknown mode '" + mode + "'");
+  return run_drain(std::move(options));
 }

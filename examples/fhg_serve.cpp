@@ -116,10 +116,13 @@
 #include "fhg/wal/wal.hpp"
 #include "fhg/workload/scenario.hpp"
 
+#include "cli_options.hpp"
+
 namespace {
 
 using namespace fhg;
 using Clock = std::chrono::steady_clock;
+using examples::uint_option;
 
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "fhg_serve: " << error << "\n"
@@ -164,34 +167,6 @@ const std::map<std::string, std::set<std::string>>& mode_options() {
       {"stats", {"connect", "histograms", "traces"}},
   };
   return modes;
-}
-
-/// `--key value` option map over `argv[first..]`.  A key outside `known` or
-/// a trailing key without a value is a usage error, so a misspelled flag
-/// cannot silently fall back to a default.
-std::map<std::string, std::string> parse_options(int argc, char** argv, int first,
-                                                 const std::string& mode,
-                                                 const std::set<std::string>& known) {
-  std::map<std::string, std::string> options;
-  for (int i = first; i < argc; i += 2) {
-    const std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      usage("expected an option, got '" + key + "'");
-    }
-    if (!known.contains(key.substr(2))) {
-      usage("unknown option '" + key + "' for " + mode + " mode");
-    }
-    if (i + 1 == argc) {
-      usage("option '" + key + "' needs a value");
-    }
-    options[key.substr(2)] = argv[i + 1];
-  }
-  return options;
-}
-
-std::uint64_t uint_option(std::map<std::string, std::string>& options, const std::string& key,
-                          std::uint64_t fallback) {
-  return options.count(key) ? std::strtoull(options[key].c_str(), nullptr, 10) : fallback;
 }
 
 /// The workload spec shared by all three modes: an explicit scenario string,
@@ -869,7 +844,8 @@ int main(int argc, char** argv) {
   if (known == mode_options().end()) {
     usage("unknown mode '" + mode + "'");
   }
-  auto options = parse_options(argc, argv, 2, mode, known->second);
+  auto options =
+      examples::parse_options(argc, argv, 2, known->second, " for " + mode + " mode", usage);
   if (mode == "serve") {
     return run_serve(std::move(options));
   }

@@ -73,6 +73,12 @@ SocketCounters& socket_counters() {
   return counters;
 }
 
+/// The worker whose event loop runs on this thread (nullptr on any other
+/// thread).  A completion callback that finds its own worker here was
+/// invoked synchronously from `dispatch_frame` — the only place a loop
+/// thread enters the handler — and may touch the connection directly.
+thread_local const void* current_loop = nullptr;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error("fhg::api socket: " + what + ": " + std::strerror(errno));
 }
@@ -148,9 +154,10 @@ std::size_t whole_frame_size(std::span<const std::uint8_t> bytes, std::size_t ma
 // ------------------------------------------------------------- event loop --
 
 /// One accepted connection: a state machine owned by exactly one event-loop
-/// worker.  All fields are touched only on that worker's thread — handler
-/// completions never mutate a connection directly; they post to the owning
-/// worker's inbox and the worker applies them.
+/// worker.  All fields are touched only on that worker's thread — a handler
+/// completion mutates a connection directly only when it runs on that
+/// thread (synchronously, inside `dispatch_frame`); from any other thread it
+/// posts to the owning worker's inbox and the worker applies it.
 struct SocketServer::Connection {
   int fd = -1;
   std::size_t worker = 0;  ///< owning event loop (index into workers_)
@@ -354,6 +361,7 @@ void SocketServer::accept_loop() {
 }
 
 void SocketServer::event_loop(Worker& worker) {
+  current_loop = &worker;
   SocketCounters& counters = socket_counters();
   epoll_event events[kEpollBatch];
   std::vector<int> incoming;
@@ -557,12 +565,16 @@ void SocketServer::dispatch_frame(Worker& worker, const std::shared_ptr<Connecti
   ++connection->inflight;
   ++worker.inflight;
   const RequestContext context{decoded.trace_id, decoded.request_id};
-  // The completion may run synchronously (admission rejects) or later on a
-  // handler worker thread; either way it only touches the shared inbox —
-  // the event loop applies it to the connection on its own thread.
+  // The completion may run synchronously (admission rejects, reads served
+  // inline) or later on a handler worker thread.  Synchronously, it is on
+  // this loop's thread and files the response straight into the ordering
+  // window — on_readable flushes after dispatching, so no inbox round trip
+  // or eventfd wake is needed.  Otherwise it only touches the shared inbox
+  // and the event loop applies it to the connection on its own thread.
+  // Either way `flush` writes strictly in sequence order.
   handler_.handle(
       std::move(decoded.request), context,
-      [inbox = worker.inbox, connection, seq, request_id = decoded.request_id,
+      [loop = &worker, inbox = worker.inbox, connection, seq, request_id = decoded.request_id,
        start = Clock::now()](Response response) {
         std::vector<std::uint8_t> bytes = inbox->acquire_buffer();
         try {
@@ -580,6 +592,14 @@ void SocketServer::dispatch_frame(Worker& worker, const std::shared_ptr<Connecti
         socket_counters().frame_us.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start)
                 .count()));
+        if (current_loop == loop) {
+          --loop->inflight;
+          --connection->inflight;
+          if (!connection->closed) {
+            connection->ready.emplace(seq, std::move(bytes));
+          }
+          return;
+        }
         const std::lock_guard<std::mutex> lock(inbox->mutex);
         inbox->completions.push_back({connection, seq, std::move(bytes)});
         if (!inbox->closed) {

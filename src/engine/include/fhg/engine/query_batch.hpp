@@ -13,12 +13,14 @@
 /// per-probe allocation.
 ///
 /// Probes address instances by their snapshot index (resolve names once via
-/// `id_of`, amortized over thousands of probes).  The batch kernel
-/// counting-sorts probe *indices* by instance id in O(probes + fleet), so
-/// all probes against one table run back-to-back over its
-/// structure-of-arrays storage — the sorted-access locality that makes
-/// batching ~an order of magnitude faster than calling `Engine::is_happy`
-/// per probe.
+/// `id_of`, amortized over thousands of probes).  The batch kernel groups
+/// probe *indices* by instance id, so all probes against one table run
+/// back-to-back over its structure-of-arrays storage — the sorted-access
+/// locality that makes batching ~an order of magnitude faster than calling
+/// `Engine::is_happy` per probe.  Grouping costs O(probes · log probes) for
+/// a batch small against the fleet (a comparison sort) and
+/// O(probes + fleet) otherwise (a counting sort), so a one-probe batch
+/// costs O(1) however large the fleet is.
 
 #include <cstdint>
 #include <memory>
@@ -53,6 +55,17 @@ inline constexpr std::uint64_t kNoGathering = 0;
 
 class QuerySnapshot {
  public:
+  /// A batch of `p` probes over a fleet of `n` takes the counting sort once
+  /// `p * kCountingSortFleetRatio > n`.  The comparison sort costs
+  /// O(p log p), the counting sort O(p + n); the ratio is E18's break-even
+  /// on its 10k-instance fleet (4-vCPU x86 VM, Release): the whole
+  /// membership kernel ran 2.3–2.5e7 probes/s at p = 1251 (counting) against
+  /// 2.9–3.4e7 at p = 1250 (comparison), and 1.6e7 against 3.1–3.8e7 at
+  /// p = n/16, while a stand-alone grouping test put the crossing at
+  /// p ≈ n/7 for n = 10000 and nearer n/16 for n = 65536.
+  /// E18's `small-batch-1250`/`-1251` pair tracks the switch.
+  static constexpr std::size_t kCountingSortFleetRatio = 8;
+
   /// Flattens the registry's current membership (sorted by name) and stamps
   /// it with `epoch`.
   [[nodiscard]] static std::shared_ptr<const QuerySnapshot> build(const InstanceRegistry& registry,
@@ -102,10 +115,14 @@ class QuerySnapshot {
  private:
   QuerySnapshot() = default;
 
-  /// Probe indices grouped by instance id (counting sort, O(probes +
-  /// fleet)) — the shared iteration order of both batch kernels.  Also
-  /// validates every probe so the kernels can index unchecked.
-  [[nodiscard]] std::vector<std::uint32_t> sorted_order(std::span<const Probe> probes) const;
+  /// Probe indices grouped by instance id, equal instances in probe order —
+  /// the shared iteration order of both batch kernels, kept in `order`
+  /// (a one-probe batch needs neither grouping nor storage).  Comparison
+  /// sort for a batch small against the fleet, counting sort otherwise (see
+  /// `kCountingSortFleetRatio`).  Also validates every probe so the kernels
+  /// can index unchecked.
+  [[nodiscard]] std::span<const std::uint32_t> sorted_order(
+      std::span<const Probe> probes, std::vector<std::uint32_t>& order) const;
 
   /// Transparent hashing so `id_of` takes a string_view without allocating.
   struct NameHash {

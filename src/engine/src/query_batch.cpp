@@ -1,5 +1,6 @@
 #include "fhg/engine/query_batch.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -39,10 +40,11 @@ std::optional<std::uint32_t> QuerySnapshot::id_of(std::string_view name) const {
   return it->second;
 }
 
-std::vector<std::uint32_t> QuerySnapshot::sorted_order(std::span<const Probe> probes) const {
+std::span<const std::uint32_t> QuerySnapshot::sorted_order(
+    std::span<const Probe> probes, std::vector<std::uint32_t>& order) const {
   const auto n = static_cast<std::uint32_t>(instances_.size());
-  // Histogram pass doubles as validation, so the kernels index unchecked.
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) + 1, 0);
+  // Validate first, in probe order, so both grouping paths throw the same
+  // error for the same batch and the kernels can index unchecked.
   for (const Probe& probe : probes) {
     if (probe.instance >= n) {
       throw std::out_of_range("QuerySnapshot: probe instance " + std::to_string(probe.instance) +
@@ -53,12 +55,34 @@ std::vector<std::uint32_t> QuerySnapshot::sorted_order(std::span<const Probe> pr
                               " out of range for instance '" + std::string(names_[probe.instance]) +
                               "'");
     }
+  }
+  if (probes.size() <= 1) {
+    // Nothing to group: a lone probe is its own run.
+    static constexpr std::uint32_t kFirst[1] = {0};
+    return std::span<const std::uint32_t>(kFirst, probes.size());
+  }
+  order.resize(probes.size());
+  if (probes.size() * kCountingSortFleetRatio <= n) {
+    // Small batch: sort (instance, index) keys.  The index in the low bits
+    // keeps equal instances in probe order, the same order the counting
+    // sort below produces.
+    std::vector<std::uint64_t> keys(probes.size());
+    for (std::uint32_t i = 0; i < probes.size(); ++i) {
+      keys[i] = (std::uint64_t{probes[i].instance} << 32) | i;
+    }
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      order[k] = static_cast<std::uint32_t>(keys[k]);
+    }
+    return order;
+  }
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(n) + 1, 0);
+  for (const Probe& probe : probes) {
     ++counts[probe.instance + 1];
   }
   for (std::uint32_t id = 1; id <= n; ++id) {
     counts[id] += counts[id - 1];
   }
-  std::vector<std::uint32_t> order(probes.size());
   for (std::uint32_t i = 0; i < probes.size(); ++i) {
     order[counts[probes[i].instance]++] = i;
   }
@@ -69,7 +93,8 @@ void QuerySnapshot::query_batch(std::span<const Probe> probes, std::span<std::ui
   if (out.size() < probes.size()) {
     throw std::invalid_argument("QuerySnapshot::query_batch: output span too small");
   }
-  const std::vector<std::uint32_t> order = sorted_order(probes);
+  std::vector<std::uint32_t> storage;
+  const std::span<const std::uint32_t> order = sorted_order(probes, storage);
   std::size_t i = 0;
   while (i < order.size()) {
     const std::uint32_t id = probes[order[i]].instance;
@@ -99,7 +124,8 @@ void QuerySnapshot::next_gathering_batch(std::span<const Probe> probes,
   if (out.size() < probes.size()) {
     throw std::invalid_argument("QuerySnapshot::next_gathering_batch: output span too small");
   }
-  const std::vector<std::uint32_t> order = sorted_order(probes);
+  std::vector<std::uint32_t> storage;
+  const std::span<const std::uint32_t> order = sorted_order(probes, storage);
   std::size_t i = 0;
   while (i < order.size()) {
     const std::uint32_t id = probes[order[i]].instance;

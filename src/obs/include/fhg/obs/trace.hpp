@@ -70,8 +70,9 @@ class TraceRing {
 
  private:
   const std::size_t capacity_;
-  // Fast-reject threshold: below this total_us a sample cannot qualify.
-  // Zero while the ring still has room.
+  // Fast-reject threshold: below this total_us a sample cannot qualify
+  // (the fastest kept sample's total_us + 1 once full).  Zero while the
+  // ring still has room.
   std::atomic<std::uint64_t> floor_{0};
   mutable std::mutex mutex_;
   // Min-heap by total_us: entries_.front() is the fastest kept sample,

@@ -16,10 +16,12 @@ void TraceRing::offer(const TraceSample& sample) {
   if (capacity_ == 0) {
     return;
   }
-  // Fast reject: once the ring is full, samples at or below the floor
-  // cannot displace anything.  floor_ only ever rises, so a stale read can
-  // cause a useless lock acquisition but never a missed qualifying sample.
-  if (sample.total_us <= floor_.load(std::memory_order_relaxed)) {
+  // Fast reject: once the ring is full, samples below the floor (one past
+  // the fastest kept sample) cannot displace anything.  floor_ only ever
+  // rises, so a stale read can cause a useless lock acquisition but never a
+  // missed qualifying sample.  While the ring has room the floor is 0 and
+  // every sample qualifies, a sub-microsecond (total_us == 0) one included.
+  if (sample.total_us < floor_.load(std::memory_order_relaxed)) {
     return;
   }
   const std::lock_guard lock(mutex_);
@@ -27,7 +29,7 @@ void TraceRing::offer(const TraceSample& sample) {
     entries_.push_back(sample);
     std::push_heap(entries_.begin(), entries_.end(), slower);
     if (entries_.size() == capacity_) {
-      floor_.store(entries_.front().total_us, std::memory_order_relaxed);
+      floor_.store(entries_.front().total_us + 1, std::memory_order_relaxed);
     }
     return;
   }
@@ -37,7 +39,7 @@ void TraceRing::offer(const TraceSample& sample) {
   std::pop_heap(entries_.begin(), entries_.end(), slower);
   entries_.back() = sample;
   std::push_heap(entries_.begin(), entries_.end(), slower);
-  floor_.store(entries_.front().total_us, std::memory_order_relaxed);
+  floor_.store(entries_.front().total_us + 1, std::memory_order_relaxed);
 }
 
 std::vector<TraceSample> TraceRing::snapshot() const {

@@ -23,9 +23,11 @@ namespace fhg::service {
 /// Admission counters (`accepted`, `rejected_*`, `queue_high_water`) are
 /// maintained by submitting threads; serving counters (`queries`,
 /// `next_gatherings`, `mutations`, `failed`, `batches`, the histograms) by
-/// the shard's worker.  `Service::metrics()` returns a consistent copy.
+/// whichever thread served the request — the shard's worker, or the
+/// submitting thread for a read served inline (a batch of one).
+/// `Service::metrics()` returns a consistent copy.
 struct ShardMetrics {
-  std::uint64_t accepted = 0;          ///< requests admitted to the queue
+  std::uint64_t accepted = 0;          ///< requests admitted (queued or served inline)
   std::uint64_t rejected_full = 0;     ///< refused: queue at capacity
   std::uint64_t rejected_stopped = 0;  ///< refused: service draining/stopped
   std::uint64_t queries = 0;           ///< membership requests completed

@@ -11,7 +11,10 @@
 /// owns N shards, each with a bounded MPSC request queue and one worker
 /// thread that drains whatever has accumulated and coalesces it into
 /// `QuerySnapshot::query_batch` / `next_gathering_batch` calls — so callers
-/// submitting single requests transparently get batched throughput.
+/// submitting single requests transparently get batched throughput.  A read
+/// that finds its shard idle skips the queue and runs the same kernel call
+/// on the submitting thread (see `handle`), so a lone request pays no
+/// thread hand-off.
 ///
 /// The service executes every `api::Request` kind (it implements
 /// `api::Handler`, which is what the in-process and socket transports are
@@ -55,6 +58,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -85,8 +89,9 @@ struct ServiceOptions {
 };
 
 /// The sharded asynchronous serving front-end.  Thread-safe: any thread may
-/// submit; each accepted request's callback runs exactly once on its shard's
-/// worker, including during `drain()`.
+/// submit; each accepted request's callback runs exactly once — on the
+/// submitting thread for a read served inline (see `handle`), otherwise on
+/// its shard's worker, including during `drain()`.
 class Service : public api::Handler {
  public:
   /// Builds the front-end over `engine` (not owned; must outlive the
@@ -119,9 +124,10 @@ class Service : public api::Handler {
   void start();
 
   /// Graceful shutdown: stops admission (subsequent submissions report
-  /// `kStopped`), serves every request already accepted, then joins the
-  /// workers.  Starts them first if the service never started, so
-  /// deferred-start services still complete their backlog.  Idempotent.
+  /// `kStopped`), serves every request already accepted — waiting for reads
+  /// being served inline on other threads too — then joins the workers.
+  /// Starts them first if the service never started, so deferred-start
+  /// services still complete their backlog.  Idempotent.
   void drain();
 
   /// True once `drain()` has begun: new submissions will be refused.
@@ -131,11 +137,23 @@ class Service : public api::Handler {
 
   // -- The protocol entry point (api::Handler) --------------------------------
 
-  /// Executes any `api::Request` through the owning shard's FIFO and
+  /// Executes any `api::Request` in the owning shard's FIFO order and
   /// completes `done` with a typed `api::Response` — including admission
   /// failures, which arrive as `kQueueFull`/`kStopped` responses invoked
-  /// synchronously on the calling thread.  `done` runs on the shard worker
-  /// otherwise and must not re-enter the service with a blocking wait.
+  /// synchronously on the calling thread.
+  ///
+  /// A read (`IsHappy`/`NextGathering`) is served inline, with `done`
+  /// invoked on the calling thread before `handle` returns, when its shard
+  /// is idle: the worker has started, the shard is not draining, its queue
+  /// is empty and no drained batch is being served.  Those four facts are
+  /// checked under the shard mutex, and the read's `QuerySnapshot` is taken
+  /// under it too: every request admitted to the shard earlier has then been
+  /// fully served, and none admitted later can run before the lock is
+  /// released, so the inline answer is the one the FIFO would give.  Every
+  /// other request — mutations, lifecycle and tenancy-wide kinds, and reads
+  /// behind queued or in-progress work — queues, and `done` runs on the
+  /// shard worker.  Either way `done` must not re-enter the service with a
+  /// blocking wait.
   void handle(api::Request request, api::ResponseCallback done) override;
 
   /// Context-carrying flavor of `handle`, invoked by the transports: stamps
@@ -181,7 +199,10 @@ class Service : public api::Handler {
     mutable std::mutex mutex;
     std::condition_variable cv;
     std::deque<Request> queue;
-    bool stop = false;  ///< set under `mutex` by drain()
+    bool stop = false;     ///< set under `mutex` by drain()
+    bool running = false;  ///< set under `mutex` once start() spawned the worker
+    bool busy = false;     ///< under `mutex`: the worker is serving a drained batch
+    std::size_t inline_reads = 0;  ///< under `mutex`: admitted inline, not yet completed
     ShardMetrics metrics;
     /// Live queue depth, registered on the engine's registry as
     /// `fhg_service_queue_depth{shard="i"}`.  Maintained as +1 per admit and
@@ -190,11 +211,19 @@ class Service : public api::Handler {
     std::thread worker;
   };
 
-  /// Admission: route to the owning shard, reject typed when stopped or
-  /// full, otherwise enqueue and wake the worker if it may be sleeping.
-  /// `request` is consumed only on success — on a reject the caller keeps
-  /// it, so `handle` can still deliver the typed reject response.
-  std::optional<api::StatusCode> enqueue(Request& request);
+  /// The verdict of `admit`: a typed reject, a snapshot to serve an idle
+  /// shard's read inline with, or neither (the request was queued).
+  struct Admission {
+    std::optional<api::StatusCode> reject;
+    std::shared_ptr<const engine::QuerySnapshot> snapshot;
+  };
+
+  /// Admission to `shard` (the request's owner): reject typed when stopped
+  /// or full, admit a read inline when the shard is idle (see `handle`),
+  /// otherwise enqueue and wake the worker if it may be sleeping.
+  /// `request` is consumed only when queued — on a reject or an inline
+  /// admission the caller keeps it.
+  Admission admit(Shard& shard, Request& request);
 
   /// Per-shard worker: drain the queue, coalesce query runs into batch
   /// calls, serialize mutations and admin requests between them; exit once
@@ -202,10 +231,12 @@ class Service : public api::Handler {
   void worker_loop(Shard& shard);
 
   /// Serves one drained batch in submission order.
-  void process(Shard& shard, std::deque<Request>& batch);
+  void process(std::deque<Request>& batch, ShardMetrics& local);
 
-  /// Coalesces `run` (query requests only) into batched snapshot calls.
-  void flush_queries(std::vector<Request*>& run, ShardMetrics& local);
+  /// Coalesces `run` (query requests only, non-empty) into batched calls on
+  /// `snapshot` — the one read path of the queued and the inline reads.
+  void flush_queries(std::span<Request* const> run, const engine::QuerySnapshot& snapshot,
+                     ShardMetrics& local);
 
   /// Applies one mutation request through the engine.
   void serve_mutation(Request& request, ShardMetrics& local);

@@ -66,6 +66,10 @@ void Service::start() {
   }
   started_ = true;
   for (const auto& shard : shards_) {
+    {
+      const std::lock_guard<std::mutex> shard_lock(shard->mutex);
+      shard->running = true;
+    }
     shard->worker = std::thread([this, &shard = *shard] { worker_loop(shard); });
   }
 }
@@ -86,8 +90,11 @@ void Service::drain() {
       // The stop flag must move under the shard mutex: a worker that just
       // found the queue empty re-checks the flag before sleeping, so the
       // wakeup below cannot slip between its check and its wait.
-      const std::lock_guard<std::mutex> shard_lock(shard->mutex);
+      std::unique_lock<std::mutex> shard_lock(shard->mutex);
       shard->stop = true;
+      // Reads already admitted inline finish on their callers' threads;
+      // drain returns only after the last of them completed.
+      shard->cv.wait(shard_lock, [&] { return shard->inline_reads == 0; });
     }
     shard->cv.notify_all();
   }
@@ -98,25 +105,32 @@ void Service::drain() {
   }
 }
 
-std::optional<api::StatusCode> Service::enqueue(Request& request) {
-  Shard& shard = *shards_[shard_of(api::routing_instance(request.body))];
+Service::Admission Service::admit(Shard& shard, Request& request) {
   // Stamped outside the lock: the clock read must not lengthen the critical
   // section every submitter serializes on.
   request.enqueued = Clock::now();
+  const bool read = request.body.index() <= 1;  // IsHappy / NextGathering
   bool wake = false;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.stop || stopped_.load(std::memory_order_acquire)) {
       ++shard.metrics.rejected_stopped;
-      return api::StatusCode::kStopped;
+      return {api::StatusCode::kStopped, nullptr};
     }
     if (shard.queue.size() >= options_.queue_capacity) {
       ++shard.metrics.rejected_full;
-      return api::StatusCode::kQueueFull;
+      return {api::StatusCode::kQueueFull, nullptr};
+    }
+    ++shard.metrics.accepted;
+    if (read && shard.running && !shard.busy && shard.queue.empty()) {
+      // Everything admitted to this shard before this read has been served
+      // and nothing after it can be applied until the lock is released, so
+      // a snapshot taken here answers exactly as the FIFO would.
+      ++shard.inline_reads;
+      return {std::nullopt, engine_.query_snapshot()};
     }
     wake = shard.queue.empty();
     shard.queue.push_back(std::move(request));
-    ++shard.metrics.accepted;
     shard.metrics.queue_high_water =
         std::max<std::uint64_t>(shard.metrics.queue_high_water, shard.queue.size());
     shard.queue_depth->add(1);
@@ -126,37 +140,51 @@ std::optional<api::StatusCode> Service::enqueue(Request& request) {
     // other push happens while it is still draining earlier work.
     shard.cv.notify_one();
   }
-  return std::nullopt;
+  return {};
 }
 
 void Service::worker_loop(Shard& shard) {
+  std::deque<Request> batch;
+  ShardMetrics local;
+  std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
-    std::deque<Request> batch;
-    {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      shard.cv.wait(lock, [&] { return shard.stop || !shard.queue.empty(); });
-      if (shard.queue.empty()) {
-        return;  // stop requested and nothing left: graceful exit
-      }
-      batch.swap(shard.queue);
-      shard.queue_depth->add(-static_cast<std::int64_t>(batch.size()));
+    shard.cv.wait(lock, [&] { return shard.stop || !shard.queue.empty(); });
+    if (shard.queue.empty()) {
+      return;  // stop requested and nothing left: graceful exit
     }
+    batch.swap(shard.queue);
+    shard.queue_depth->add(-static_cast<std::int64_t>(batch.size()));
+    shard.busy = true;
+    lock.unlock();
     // One clock read stamps the whole drained batch: the queue span of each
     // request ends here, its serve span begins.
     const auto dequeued = Clock::now();
     for (Request& request : batch) {
       request.dequeued = dequeued;
     }
-    process(shard, batch);
+    process(batch, local);
+    batch.clear();
+    // Serving counters accumulate locally and merge under the shard lock
+    // once per drained batch, so submitters never contend on per-request
+    // updates.
+    lock.lock();
+    shard.metrics.merge(local);
+    shard.busy = false;
+    local = ShardMetrics{};
   }
 }
 
-void Service::process(Shard& shard, std::deque<Request>& batch) {
-  // Serving counters accumulate locally and merge under the shard lock once
-  // per drained batch, so submitters never contend on per-request updates.
-  ShardMetrics local;
+void Service::process(std::deque<Request>& batch, ShardMetrics& local) {
   std::vector<Request*> run;
   run.reserve(batch.size());
+  // Each flush takes a fresh snapshot, so a run sees every mutation served
+  // before it.
+  const auto flush = [&] {
+    if (!run.empty()) {
+      flush_queries(run, *engine_.query_snapshot(), local);
+      run.clear();
+    }
+  };
   for (Request& request : batch) {
     switch (request.body.index()) {
       case 0:  // IsHappy
@@ -166,25 +194,20 @@ void Service::process(Shard& shard, std::deque<Request>& batch) {
       case 2:  // ApplyMutations
         // Preserve submission order around the mutation: queries queued
         // before it are answered against the pre-mutation schedule, queries
-        // after it against the republished one (each flush takes a fresh
-        // snapshot).
-        flush_queries(run, local);
+        // after it against the republished one.
+        flush();
         serve_mutation(request, local);
         break;
       default:  // Create / Erase / List / Snapshot / Restore
         // Lifecycle ops serialize through the same FIFO: a query queued
         // after a create of the same name must observe the new tenant, and
         // one queued after an erase must fail typed.
-        flush_queries(run, local);
+        flush();
         serve_admin(request, local);
         break;
     }
   }
-  flush_queries(run, local);
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.metrics.merge(local);
-  }
+  flush();
 }
 
 void Service::offer_trace(const Request& request, Clock::time_point now) {
@@ -218,11 +241,8 @@ void Service::finish(Request& request, api::Response response, Clock::time_point
   }
 }
 
-void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
-  if (run.empty()) {
-    return;
-  }
-  const auto snapshot = engine_.query_snapshot();
+void Service::flush_queries(std::span<Request* const> run, const engine::QuerySnapshot& snapshot,
+                            ShardMetrics& local) {
   ++local.batches;
   local.batch_size.record(run.size());
   // Resolve and validate each request individually, so one unknown instance
@@ -238,14 +258,14 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
   std::vector<Request*> next_requests;
   for (Request* request : run) {
     const QueryView view = view_of(request->body);
-    const auto id = snapshot->id_of(view.instance);
+    const auto id = snapshot.id_of(view.instance);
     if (!id) {
       fail_query(*request, view,
                  api::Status::error(api::StatusCode::kNotFound,
                                     "no instance named '" + std::string(view.instance) + "'"));
       continue;
     }
-    if (view.node >= snapshot->num_nodes(*id)) {
+    if (view.node >= snapshot.num_nodes(*id)) {
       fail_query(*request, view,
                  api::Status::error(api::StatusCode::kInvalidArgument,
                                     "node " + std::to_string(view.node) +
@@ -279,26 +299,28 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
   };
   // The kernel invocations below are the engine's batch pipeline even though
   // they run on a held snapshot: count them on the engine registry exactly
-  // as Engine::query_batch would.
-  const auto count_kernel = [&](std::size_t probes, Clock::time_point start) {
+  // as Engine::query_batch would — the kernel's own time, start to return
+  // (or throw).  That end stamp also completes the requests.
+  const auto count_kernel = [&](std::size_t probes, Clock::time_point start,
+                                Clock::time_point end) {
     engine_batches_.increment();
     engine_batch_probes_.add(probes);
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start);
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(end - start);
     engine_query_batch_us_.record(us.count() > 0 ? static_cast<std::uint64_t>(us.count()) : 0);
   };
   if (!member_probes.empty()) {
     const auto kernel_start = Clock::now();
+    Clock::time_point now;
     std::vector<std::uint8_t> answers(member_probes.size());
     try {
-      snapshot->query_batch(member_probes, answers);
-      const auto now = Clock::now();
+      snapshot.query_batch(member_probes, answers);
+      now = Clock::now();
       for (std::size_t i = 0; i < member_requests.size(); ++i) {
         finish(*member_requests[i],
                {api::Status::good(), api::IsHappyResponse{answers[i] != 0}}, now, local);
       }
     } catch (const std::exception&) {
-      const auto now = Clock::now();
+      now = Clock::now();
       for (Request* request : member_requests) {
         const QueryView view = view_of(request->body);
         try {
@@ -310,20 +332,21 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
       }
     }
     local.queries += member_requests.size();
-    count_kernel(member_probes.size(), kernel_start);
+    count_kernel(member_probes.size(), kernel_start, now);
   }
   if (!next_probes.empty()) {
     const auto kernel_start = Clock::now();
+    Clock::time_point now;
     std::vector<std::uint64_t> answers(next_probes.size());
     try {
-      snapshot->next_gathering_batch(next_probes, answers);
-      const auto now = Clock::now();
+      snapshot.next_gathering_batch(next_probes, answers);
+      now = Clock::now();
       for (std::size_t i = 0; i < next_requests.size(); ++i) {
         finish(*next_requests[i],
                {api::Status::good(), api::NextGatheringResponse{answers[i]}}, now, local);
       }
     } catch (const std::exception&) {
-      const auto now = Clock::now();
+      now = Clock::now();
       for (Request* request : next_requests) {
         const QueryView view = view_of(request->body);
         try {
@@ -336,9 +359,8 @@ void Service::flush_queries(std::vector<Request*>& run, ShardMetrics& local) {
       }
     }
     local.next_gatherings += next_requests.size();
-    count_kernel(next_probes.size(), kernel_start);
+    count_kernel(next_probes.size(), kernel_start, now);
   }
-  run.clear();
 }
 
 void Service::serve_mutation(Request& request, ShardMetrics& local) {
@@ -488,11 +510,27 @@ void Service::handle(api::Request request, const api::RequestContext& context,
                    .trace_id = context.trace_id,
                    .request_id = context.request_id,
                    .done = std::move(done)};
-  if (const auto reject = enqueue(internal)) {
+  Shard& shard = *shards_[shard_of(api::routing_instance(internal.body))];
+  const Admission admission = admit(shard, internal);
+  if (admission.reject) {
     // The unified contract: rejects are typed responses too, delivered
     // synchronously on the submitting thread.
     if (internal.done) {
-      internal.done(api::Response::error(*reject, reject_detail(*reject)));
+      internal.done(api::Response::error(*admission.reject, reject_detail(*admission.reject)));
+    }
+    return;
+  }
+  if (admission.snapshot) {
+    // An idle shard's read: served here, through the same kernel path the
+    // worker uses, with no queue wait.
+    internal.dequeued = internal.enqueued;
+    ShardMetrics local;
+    Request* const run[] = {&internal};
+    flush_queries(run, *admission.snapshot, local);
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.metrics.merge(local);
+    if (--shard.inline_reads == 0 && shard.stop) {
+      shard.cv.notify_all();  // a drain is waiting for this read
     }
   }
 }

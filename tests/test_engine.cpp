@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fhg/core/prefix_code_scheduler.hpp"
@@ -656,4 +660,110 @@ TEST(SnapshotV2, TruncationAndCorruptionFailTyped) {
   }
   fe::InstanceRegistry scratch(2);
   EXPECT_THROW(fe::restore_registry(scratch, garbage), std::runtime_error);
+}
+
+// ----------------------------------------------------------- QueryBatch ----
+//
+// The batch kernels group probes by instance with a comparison sort when the
+// batch is small against the snapshot and with a counting sort otherwise.
+// Both paths must answer exactly as the per-probe instance calls do, and a
+// bad probe must fail with the same text whichever path the batch takes.
+
+namespace {
+
+/// A 256-tenant engine mixing periodic (degree-bound) and aperiodic
+/// (phased-greedy) tenants, stepped past warm-up.
+std::unique_ptr<fe::Engine> mixed_fleet() {
+  auto eng = std::make_unique<fe::Engine>(fe::EngineOptions{.shards = 4, .threads = 1});
+  for (int i = 0; i < 256; ++i) {
+    const auto kind =
+        i % 4 == 3 ? fe::SchedulerKind::kPhasedGreedy : fe::SchedulerKind::kDegreeBound;
+    (void)eng->create_instance(std::to_string(1000 + i), fg::gnp(10 + i % 7, 0.3, 100 + i),
+                               spec_of(kind));
+  }
+  (void)eng->step_all(16);
+  return eng;
+}
+
+/// `count` probes over random instances, nodes and holidays.
+std::vector<fe::Probe> random_probes(const fe::QuerySnapshot& snapshot, std::size_t count,
+                                     std::uint64_t seed) {
+  fhg::parallel::Rng rng(seed);
+  std::vector<fe::Probe> probes(count);
+  for (fe::Probe& probe : probes) {
+    probe.instance = static_cast<std::uint32_t>(rng.uniform_below(snapshot.size()));
+    probe.node = static_cast<fg::NodeId>(rng.uniform_below(snapshot.num_nodes(probe.instance)));
+    probe.holiday = 1 + rng.uniform_below(64);
+  }
+  return probes;
+}
+
+/// What a failing batch kernel says (empty when it does not throw).
+template <typename Kernel>
+std::string out_of_range_text(Kernel&& kernel) {
+  try {
+    kernel();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return {};
+}
+
+}  // namespace
+
+TEST(QueryBatch, BothGroupingPathsAnswerAsPerProbeCalls) {
+  const auto eng = mixed_fleet();
+  const auto snapshot = eng->query_snapshot();
+  const std::size_t fleet = snapshot->size();
+  const std::size_t last_comparison = fleet / fe::QuerySnapshot::kCountingSortFleetRatio;
+  ASSERT_GT(last_comparison, 2u);
+  // 1 needs no grouping; up to last_comparison the comparison sort runs,
+  // past it the counting sort; the last two sizes exceed the fleet.
+  for (const std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                  last_comparison - 1, last_comparison, last_comparison + 1,
+                                  fleet / 2, fleet, 3 * fleet}) {
+    const std::vector<fe::Probe> probes = random_probes(*snapshot, count, 7 + count);
+    std::vector<std::uint8_t> happy(count);
+    std::vector<std::uint64_t> next(count);
+    snapshot->query_batch(probes, happy);
+    snapshot->next_gathering_batch(probes, next);
+    for (std::size_t i = 0; i < count; ++i) {
+      const fe::Probe& p = probes[i];
+      fe::Instance& instance = *snapshot->instance(p.instance);
+      EXPECT_EQ(happy[i] != 0, instance.is_happy(p.node, p.holiday))
+          << "batch " << count << " probe " << i;
+      EXPECT_EQ(next[i], instance.next_gathering(p.node, p.holiday).value_or(fe::kNoGathering))
+          << "batch " << count << " probe " << i;
+    }
+  }
+}
+
+TEST(QueryBatch, BadProbesThrowTheSameTextOnBothPaths) {
+  const auto eng = mixed_fleet();
+  const auto snapshot = eng->query_snapshot();
+  const std::size_t fleet = snapshot->size();
+  const std::size_t last_comparison = fleet / fe::QuerySnapshot::kCountingSortFleetRatio;
+  const fe::Probe bad_instance{.instance = static_cast<std::uint32_t>(fleet), .node = 0,
+                               .holiday = 1};
+  const fe::Probe bad_node{.instance = 3, .node = snapshot->num_nodes(3), .holiday = 1};
+  const std::string instance_text = "QuerySnapshot: probe instance " + std::to_string(fleet) +
+                                    " out of range (snapshot holds " + std::to_string(fleet) +
+                                    ")";
+  const std::string node_text = "QuerySnapshot: probe node " +
+                                std::to_string(snapshot->num_nodes(3)) +
+                                " out of range for instance '" +
+                                std::string(snapshot->name(3)) + "'";
+  for (const std::size_t count : {std::size_t{1}, last_comparison, last_comparison + 1, fleet}) {
+    for (const auto& [bad, text] : {std::pair{bad_instance, instance_text},
+                                    std::pair{bad_node, node_text}}) {
+      std::vector<fe::Probe> probes = random_probes(*snapshot, count, 11 + count);
+      probes[count / 2] = bad;
+      std::vector<std::uint8_t> happy(count);
+      std::vector<std::uint64_t> next(count);
+      EXPECT_EQ(out_of_range_text([&] { snapshot->query_batch(probes, happy); }), text)
+          << "batch " << count;
+      EXPECT_EQ(out_of_range_text([&] { snapshot->next_gathering_batch(probes, next); }), text)
+          << "batch " << count;
+    }
+  }
 }

@@ -223,6 +223,21 @@ TEST(ObsTraceRing, FastRequestsAreRejectedOnceFull) {
   EXPECT_EQ(kept[1].trace_id, 1u);
 }
 
+TEST(ObsTraceRing, SubMicrosecondSamplesAreKeptWhileThereIsRoom) {
+  fo::TraceRing ring(2);
+  ring.offer(fo::TraceSample{.trace_id = 1, .total_us = 0});
+  ring.offer(fo::TraceSample{.trace_id = 2, .total_us = 0});
+  ASSERT_EQ(ring.snapshot().size(), 2u);
+  // Full of 0 µs samples: another 0 cannot displace one, a 1 µs sample can.
+  ring.offer(fo::TraceSample{.trace_id = 3, .total_us = 0});
+  ring.offer(fo::TraceSample{.trace_id = 4, .total_us = 1});
+  const auto kept = ring.snapshot();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].trace_id, 4u);
+  EXPECT_EQ(kept[1].total_us, 0u);
+  EXPECT_NE(kept[1].trace_id, 3u);
+}
+
 TEST(ObsTraceRing, TiesBreakByTraceIdAndClearForgets) {
   fo::TraceRing ring(3);
   ring.offer(fo::TraceSample{.trace_id = 9, .total_us = 100});

@@ -223,6 +223,197 @@ TEST(Service, UnknownInstanceAndBadNodeFailPerRequest) {
   EXPECT_EQ(service.metrics().totals().failed, 3u);
 }
 
+// ------------------------------------------------------- inline reads -----
+//
+// A read that finds its shard idle (worker started, not draining, queue
+// empty, no drained batch in progress) is served on the submitting thread;
+// anything else queues and completes on the shard worker.
+
+TEST(Service, IdleShardServesReadsOnTheSubmittingThread) {
+  const fw::ScenarioSpec spec = fleet_spec(16);
+  auto engine = make_fleet(spec);
+  const fw::ScenarioGenerator generator(spec);
+  fs::Service service(*engine, {.shards = 2});
+  const auto self = std::this_thread::get_id();
+  std::size_t reads = 0;
+  for (const fa::Request& request : generator.request_stream(200, 3)) {
+    bool ran = false;
+    std::thread::id thread;
+    fa::Response response;
+    service.handle(request, [&](fa::Response r) {
+      ran = true;
+      thread = std::this_thread::get_id();
+      response = std::move(r);
+    });
+    // Nothing else is in flight, so every read finds its shard idle.
+    ASSERT_TRUE(ran) << "read " << reads << " was queued";
+    EXPECT_EQ(thread, self);
+    if (const auto* happy = std::get_if<fa::IsHappyRequest>(&request)) {
+      EXPECT_EQ(happy_of(response), engine->is_happy(happy->instance, happy->node, happy->holiday));
+    } else {
+      const auto& next = std::get<fa::NextGatheringRequest>(request);
+      EXPECT_EQ(next_of(response),
+                engine->next_gathering(next.instance, next.node, next.after)
+                    .value_or(fe::kNoGathering));
+    }
+    ++reads;
+  }
+  // A bad read fails typed inline too.
+  bool ran = false;
+  fa::Response missing;
+  service.handle(fa::IsHappyRequest{"no-such-tenant", 0, 1}, [&](fa::Response r) {
+    ran = true;
+    missing = std::move(r);
+  });
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(missing.status.code, fa::StatusCode::kNotFound);
+  service.drain();
+  const auto totals = service.metrics().totals();
+  EXPECT_EQ(totals.accepted, reads + 1);
+  EXPECT_EQ(totals.queries + totals.next_gatherings, reads + 1);
+  EXPECT_EQ(totals.failed, 1u);
+  EXPECT_EQ(totals.queue_high_water, 0u);  // no read ever waited in a queue
+}
+
+TEST(Service, DeferredStartAndBusyShardsQueueReads) {
+  auto engine = make_dynamic_single();
+  const auto self = std::this_thread::get_id();
+
+  // Deferred start: the worker has not started, so the read queues.
+  {
+    fs::Service service(*engine, {.shards = 1, .start = false});
+    std::atomic<bool> ran{false};
+    std::thread::id thread;
+    service.handle(fa::IsHappyRequest{"dyn", 0, 1}, [&](fa::Response response) {
+      thread = std::this_thread::get_id();
+      EXPECT_EQ(happy_of(response), engine->is_happy("dyn", 0, 1));
+      ran = true;
+    });
+    EXPECT_FALSE(ran.load());
+    service.drain();
+    ASSERT_TRUE(ran.load());
+    EXPECT_NE(thread, self);
+  }
+
+  // Busy: the worker is serving a drained batch (blocked inside a
+  // ListInstances completion), so a read queues behind it even though the
+  // queue itself is empty.
+  fs::Service service(*engine, {.shards = 1});
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service.handle(fa::ListInstancesRequest{}, [&entered, released](fa::Response) {
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+  std::atomic<bool> ran{false};
+  std::thread::id thread;
+  service.handle(fa::NextGatheringRequest{"dyn", 2, 5}, [&](fa::Response response) {
+    thread = std::this_thread::get_id();
+    EXPECT_EQ(next_of(response), engine->next_gathering("dyn", 2, 5).value_or(fe::kNoGathering));
+    ran = true;
+  });
+  EXPECT_FALSE(ran.load());
+  release.set_value();
+  service.drain();
+  ASSERT_TRUE(ran.load());
+  EXPECT_NE(thread, self);
+  EXPECT_EQ(service.metrics().totals().queue_high_water, 1u);
+}
+
+TEST(Service, DrainWaitsForReadsServedInline) {
+  auto engine = make_dynamic_single();
+  fs::Service service(*engine, {.shards = 1});
+  // A read served inline on its own thread, held inside `done`.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread reader([&] {
+    service.handle(fa::IsHappyRequest{"dyn", 0, 1}, [&entered, released](fa::Response) {
+      entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    service.drain();
+    drained = true;
+  });
+  // Drain has stopped admission but must not return while the read runs.
+  while (!service.stopped()) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(service.submit(fa::IsHappyRequest{"dyn", 0, 2}).get().status.code,
+            fa::StatusCode::kStopped);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(drained.load());
+  release.set_value();
+  reader.join();
+  drainer.join();
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(service.metrics().totals().queries, 1u);
+}
+
+TEST(Service, ReadAdmittedBehindQueuedMutationSeesPostMutationAnswer) {
+  auto engine = make_dynamic_single();
+  auto twin = make_dynamic_single();
+  const std::vector<fd::MutationCommand> commands{fd::insert_edge_command(3, 6),
+                                                  fd::insert_edge_command(0, 4)};
+  // Pre- and post-mutation answers for every (node, holiday) probed below.
+  std::vector<bool> before;
+  std::vector<bool> after;
+  for (fg::NodeId node = 0; node < 8; ++node) {
+    for (std::uint64_t holiday = 17; holiday <= 48; ++holiday) {
+      before.push_back(twin->is_happy("dyn", node, holiday));
+    }
+  }
+  (void)twin->apply_mutations("dyn", commands);
+  for (fg::NodeId node = 0; node < 8; ++node) {
+    for (std::uint64_t holiday = 17; holiday <= 48; ++holiday) {
+      after.push_back(twin->is_happy("dyn", node, holiday));
+    }
+  }
+  ASSERT_NE(before, after) << "the mutation must change some answer";
+
+  // Hold the worker inside a batch so the mutation and the reads behind it
+  // all queue; then release it and let the FIFO serve them in order.
+  fs::Service service(*engine, {.shards = 1, .queue_capacity = 1024});
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  service.handle(fa::ListInstancesRequest{}, [&entered, released](fa::Response) {
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+  auto mutated = service.submit(fa::ApplyMutationsRequest{"dyn", commands});
+  std::vector<std::future<fa::Response>> reads;
+  for (fg::NodeId node = 0; node < 8; ++node) {
+    for (std::uint64_t holiday = 17; holiday <= 48; ++holiday) {
+      reads.push_back(service.submit(fa::IsHappyRequest{"dyn", node, holiday}));
+    }
+  }
+  release.set_value();
+  EXPECT_EQ(mutation_of(mutated.get()).applied, commands.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    EXPECT_EQ(happy_of(reads[i].get()), after[i]) << "probe " << i;
+  }
+  // Once the FIFO is empty again, a fresh read is inline and still sees the
+  // post-mutation schedule.
+  service.drain();
+  fs::Service idle(*engine, {.shards = 1});
+  bool ran = false;
+  fa::Response response;
+  idle.handle(fa::IsHappyRequest{"dyn", 7, 48}, [&](fa::Response r) {
+    ran = true;
+    response = std::move(r);
+  });
+  ASSERT_TRUE(ran);
+  EXPECT_EQ(happy_of(response), after.back());
+}
+
 // ------------------------------------------------------------ drain --------
 
 TEST(Service, DrainCompletesEveryAcceptedRequest) {

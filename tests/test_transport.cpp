@@ -27,6 +27,7 @@
 #include "fhg/api/protocol.hpp"
 #include "fhg/api/socket.hpp"
 #include "fhg/api/transport.hpp"
+#include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
 #include "fhg/graph/generators.hpp"
 #include "fhg/obs/registry.hpp"
@@ -602,6 +603,104 @@ TEST(Transport, SlowReaderTriggersWriteBackpressureAndNothingIsLost) {
     const auto* listed = std::get_if<fa::ListInstancesResponse>(&decoded.response.payload);
     ASSERT_NE(listed, nullptr) << "reply " << i;
     EXPECT_EQ(listed->instances.size(), 192u);
+  }
+  server.stop();
+}
+
+TEST(Transport, PipelinedInlineAndQueuedReadsReplyInRequestOrder) {
+  // One dynamic tenant and a few static ones, twice: the socket copy serves
+  // one pipelined burst, the twin the same frames one at a time in-process.
+  const auto make_engine = [] {
+    auto engine = std::make_unique<fe::Engine>(fe::EngineOptions{.shards = 4, .threads = 1});
+    fe::InstanceSpec dynamic;
+    dynamic.kind = fe::SchedulerKind::kDynamicPrefixCode;
+    (void)engine->create_instance("dyn", fg::cycle(8), dynamic);
+    fe::InstanceSpec periodic;
+    periodic.kind = fe::SchedulerKind::kDegreeBound;
+    for (int i = 0; i < 4; ++i) {
+      (void)engine->create_instance("static-" + std::to_string(i), fg::gnp(12, 0.3, 40 + i),
+                                    periodic);
+    }
+    (void)engine->step_all(16);
+    return engine;
+  };
+  auto socket_engine = make_engine();
+  auto inproc_engine = make_engine();
+  fs::Service socket_service(*socket_engine, {.shards = 2});
+  fs::Service inproc_service(*inproc_engine, {.shards = 2});
+  fa::SocketServer server(socket_service, {});
+  fa::InProcessTransport inproc(inproc_service);
+
+  // Static reads find their shard idle and complete inline during dispatch;
+  // the dyn reads after each mutation queue behind it and complete later on
+  // the shard worker.  The same dyn probes run before and after each
+  // mutation, so a reordering would show up as a changed answer too.
+  const std::vector<std::vector<fhg::dynamic::MutationCommand>> mutations{
+      {fhg::dynamic::insert_edge_command(3, 6), fhg::dynamic::insert_edge_command(0, 4)},
+      {fhg::dynamic::erase_edge_command(3, 6), fhg::dynamic::insert_edge_command(1, 5)},
+      {fhg::dynamic::erase_edge_command(0, 4)},
+  };
+  std::vector<fa::Request> stream;
+  const auto dyn_reads = [&] {
+    for (fg::NodeId node = 0; node < 8; ++node) {
+      stream.push_back(fa::IsHappyRequest{"dyn", node, 20 + node});
+      stream.push_back(fa::NextGatheringRequest{"dyn", node, 20});
+    }
+  };
+  const auto static_reads = [&](std::uint64_t holiday) {
+    for (int i = 0; i < 4; ++i) {
+      stream.push_back(fa::IsHappyRequest{"static-" + std::to_string(i), 3, holiday});
+      stream.push_back(fa::NextGatheringRequest{"static-" + std::to_string(i), 5, holiday});
+    }
+  };
+  for (std::size_t round = 0; round < mutations.size(); ++round) {
+    static_reads(3 + round);
+    dyn_reads();
+    stream.push_back(fa::ApplyMutationsRequest{"dyn", mutations[round]});
+    dyn_reads();
+    static_reads(30 + round);
+  }
+
+  // The reference: one request at a time, in-process.
+  std::vector<std::vector<std::uint8_t>> expected(stream.size());
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto frame = fa::encode_request(i + 1, stream[i]);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+    ASSERT_TRUE(inproc.roundtrip(frame, expected[i]).ok()) << i;
+  }
+  // Some dyn answer must change across a mutation, or the check below
+  // could not tell pre- from post-mutation order.
+  const auto answer_of = [&](std::size_t i) -> std::uint64_t {
+    fa::DecodedResponse decoded;
+    EXPECT_TRUE(fa::decode_response(expected[i], decoded).ok()) << i;
+    if (const auto* happy = std::get_if<fa::IsHappyResponse>(&decoded.response.payload)) {
+      return happy->happy ? 1 : 0;
+    }
+    return std::get<fa::NextGatheringResponse>(decoded.response.payload).holiday;
+  };
+  bool changed = false;
+  for (std::size_t m = 1; m < stream.size(); ++m) {
+    if (std::holds_alternative<fa::ApplyMutationsRequest>(stream[m])) {
+      // 16 dyn reads right before the mutation, the same 16 right after.
+      for (std::size_t k = 0; k < 16; ++k) {
+        changed |= answer_of(m - 16 + k) != answer_of(m + 1 + k);
+      }
+    }
+  }
+  ASSERT_TRUE(changed) << "no mutation changed a probed dyn answer";
+
+  // One send: the whole pipeline lands in as few reads as the kernel makes,
+  // so inline and queued completions interleave within one dispatch loop.
+  RawClient raw(server.host(), server.port());
+  raw.send_all(burst);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto reply = raw.recv_frame();
+    fa::DecodedResponse decoded;
+    ASSERT_TRUE(fa::decode_response(reply, decoded).ok()) << "reply " << i;
+    ASSERT_EQ(decoded.request_id, i + 1) << "replies out of request order";
+    EXPECT_EQ(reply, expected[i]) << "request " << i << " ("
+                                  << fa::request_kind_name(stream[i].index()) << ")";
   }
   server.stop();
 }
