@@ -10,7 +10,7 @@
 //              node(s) per §6, appends to its mutation log, and republishes
 //              its period table at the next version.  Gap history, holiday
 //              counter, and tenant identity all survive;
-//   recreate — the pre-PR-3 fallback (what `churn_round` still does): apply
+//   recreate — the whole-tenant-replacement fallback: apply
 //              the same commands to an external graph mirror, then erase the
 //              tenant and create a fresh one over the mutated topology —
 //              paying a full greedy recoloring, scheduler construction,

@@ -15,8 +15,8 @@
 //             the deterministic request stream for the same workload spec —
 //             queries plus, when the spec has dynamic/mutation tenants,
 //             in-place topology mutations.  Exits nonzero when any request
-//             fails unexpectedly (refused mutations on churned slots are
-//             expected and only counted).
+//             fails unexpectedly (a refused mutation, on a slot whose
+//             tenant is no longer dynamic, is expected and only counted).
 //
 //             Connection-scaling mode: --idle-connections N additionally
 //             opens N connections *before* the hot clients run, probes each
@@ -74,7 +74,7 @@
 //
 // Workload specs are `family[:key=value,...]` with families ring, grid,
 // power-law, random-geometric, gnp (or a preset: powerlaw-1m, geometric-1m)
-// and keys fleet, nodes, seed, churn, aperiodic, dynamic, mutation, next,
+// and keys fleet, nodes, seed, aperiodic, dynamic, mutation, next,
 // horizon, cmds (see fhg/workload/scenario.hpp).  The load generator must be
 // given the *same* spec the server was started with, or its tenant names
 // will miss.
@@ -143,7 +143,7 @@ using examples::uint_option;
             << "       fhg_serve stats    --connect HOST:PORT [--histograms 0|1] [--traces 0|1]\n"
             << "workload specs: family[:key=value,...], families: ring grid power-law\n"
             << "                random-geometric gnp; presets: powerlaw-1m geometric-1m\n"
-            << "                keys: fleet nodes seed churn aperiodic dynamic mutation\n"
+            << "                keys: fleet nodes seed aperiodic dynamic mutation\n"
             << "                      next horizon cmds\n";
   std::exit(2);
 }
@@ -207,7 +207,7 @@ struct LoadTally {
   std::uint64_t hits = 0;                ///< membership answers that were happy
   std::uint64_t answered = 0;            ///< next-gatherings that found a holiday
   std::uint64_t mutations_applied = 0;   ///< mutation commands that changed topology
-  std::uint64_t mutations_refused = 0;   ///< refused batches (churned slots: expected)
+  std::uint64_t mutations_refused = 0;   ///< refused batches (tenant not dynamic: expected)
   std::uint64_t failed = 0;              ///< unexpected failures (gate to zero)
 };
 
@@ -225,7 +225,7 @@ LoadTally drive(api::Client& client, const std::vector<api::Request>& stream) {
                    std::get_if<api::ApplyMutationsResponse>(&response.payload)) {
       tally.mutations_applied += mutated->applied;
     } else if (!response.ok() && std::holds_alternative<api::ApplyMutationsRequest>(request)) {
-      ++tally.mutations_refused;  // churned to a non-dynamic recipe: expected
+      ++tally.mutations_refused;  // the tenant is no longer dynamic: expected
     } else if (!response.ok()) {
       ++tally.failed;
     }
@@ -466,12 +466,13 @@ int run_serve(std::map<std::string, std::string> options) {
     stats_server->stop();
   }
   service.drain();
+  const std::vector<obs::MetricSample> samples = serving_samples(service);
   std::cout << "fhg_serve: served " << server.connections_accepted() << " connections, "
-            << service.metrics().totals().accepted << " accepted requests";
+            << obs::sum_series(samples, "fhg_service_accepted_total") << " accepted requests";
   if (stats_server) {
     std::cout << ", " << stats_server->scrapes() << " scrapes";
   }
-  std::cout << "\n" << obs::to_text(serving_samples(service));
+  std::cout << "\n" << obs::to_text(samples);
   const std::vector<obs::TraceSample> traces = service.traces().snapshot();
   if (!traces.empty()) {
     std::cout << "slowest traces:\n" << obs::to_text(traces);

@@ -22,6 +22,7 @@
 /// ```
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -169,6 +170,14 @@ class Engine {
   /// after `probes[i].holiday`, or `kNoGathering` when an aperiodic search
   /// gives up.  Same snapshot-validity contract as `query_batch`.
   [[nodiscard]] std::vector<std::uint64_t> next_gathering_batch(std::span<const Probe> probes);
+
+  /// Counts one batch-kernel call over `probes` probes that took `elapsed`
+  /// on the engine's batch series (`fhg_engine_batches_total`,
+  /// `fhg_engine_batch_probes_total`, `fhg_engine_query_batch_us`).  The two
+  /// batch entry points above call it, and so does a caller that runs a
+  /// kernel on a held `QuerySnapshot` (the service), so every kernel call is
+  /// counted once, the same way.
+  void record_kernel(std::size_t probes, std::chrono::steady_clock::duration elapsed) noexcept;
 
   /// Serializes every instance into the canonical Elias-coded format.
   [[nodiscard]] std::vector<std::uint8_t> snapshot() const;

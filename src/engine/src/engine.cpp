@@ -7,11 +7,15 @@ namespace fhg::engine {
 
 namespace {
 
+/// `elapsed` in whole microseconds, saturated at zero.
+std::uint64_t whole_us(std::chrono::steady_clock::duration elapsed) {
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(elapsed);
+  return us.count() > 0 ? static_cast<std::uint64_t>(us.count()) : 0;
+}
+
 /// Microseconds elapsed since `start`, saturated at zero.
 std::uint64_t elapsed_us(std::chrono::steady_clock::time_point start) {
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - start);
-  return us.count() > 0 ? static_cast<std::uint64_t>(us.count()) : 0;
+  return whole_us(std::chrono::steady_clock::now() - start);
 }
 
 }  // namespace
@@ -200,9 +204,7 @@ std::vector<std::uint8_t> Engine::query_batch(std::span<const Probe> probes) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::uint8_t> out(probes.size());
   query_snapshot()->query_batch(probes, out);
-  telemetry_.batches.increment();
-  telemetry_.batch_probes.add(probes.size());
-  telemetry_.query_batch_us.record(elapsed_us(start));
+  record_kernel(probes.size(), std::chrono::steady_clock::now() - start);
   return out;
 }
 
@@ -210,10 +212,15 @@ std::vector<std::uint64_t> Engine::next_gathering_batch(std::span<const Probe> p
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::uint64_t> out(probes.size());
   query_snapshot()->next_gathering_batch(probes, out);
-  telemetry_.batches.increment();
-  telemetry_.batch_probes.add(probes.size());
-  telemetry_.query_batch_us.record(elapsed_us(start));
+  record_kernel(probes.size(), std::chrono::steady_clock::now() - start);
   return out;
+}
+
+void Engine::record_kernel(std::size_t probes,
+                           std::chrono::steady_clock::duration elapsed) noexcept {
+  telemetry_.batches.increment();
+  telemetry_.batch_probes.add(probes);
+  telemetry_.query_batch_us.record(whole_us(elapsed));
 }
 
 std::vector<std::uint8_t> Engine::snapshot() const {

@@ -17,8 +17,12 @@
 /// Both flag saturated histograms (observations clamped into the top
 /// bucket) explicitly: quantiles over a clipped tail are lower bounds, and
 /// silently reporting them as truth is how a tail-latency regression hides.
+/// `sum_series` reads a series back out of the same list, summed across
+/// its label variants.
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fhg/obs/registry.hpp"
@@ -43,5 +47,12 @@ std::string to_text(const std::vector<MetricSample>& samples);
 /// Renders a slowest-N trace snapshot as a human-readable table:
 /// one row per trace, slowest first, with the per-stage span breakdown.
 std::string to_text(const std::vector<TraceSample>& traces);
+
+/// The series `base` summed over `samples`: every sample named `base` or
+/// `base{...}` (`fhg_service_accepted_total{shard="0"}` and `{shard="1"}`
+/// both count toward `fhg_service_accepted_total`).  A histogram
+/// contributes its observation count.
+[[nodiscard]] std::uint64_t sum_series(const std::vector<MetricSample>& samples,
+                                       std::string_view base);
 
 }  // namespace fhg::obs

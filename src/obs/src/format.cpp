@@ -221,4 +221,14 @@ std::string to_text(const std::vector<TraceSample>& traces) {
   return out;
 }
 
+std::uint64_t sum_series(const std::vector<MetricSample>& samples, std::string_view base) {
+  std::uint64_t sum = 0;
+  for (const MetricSample& sample : samples) {
+    if (split_name(sample.name).base == base) {
+      sum += sample.value;
+    }
+  }
+  return sum;
+}
+
 }  // namespace fhg::obs

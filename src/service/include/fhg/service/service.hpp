@@ -37,6 +37,14 @@
 /// completes everything already accepted, and joins the workers; the
 /// destructor drains too.
 ///
+/// Metrics live on the engine's registry (`engine.metrics()`), the one
+/// store `GetStats` and `/metrics` read: each shard registers its
+/// `fhg_service_*{shard="i"}` counters, gauges and histograms there at
+/// construction and records into them directly.  The series are therefore
+/// per engine, like every other `fhg_*` series: every serving stack
+/// (`fhg_serve`, servebench, router backends) runs one `Service` per
+/// `Engine`, and two services built on one engine add into the same series.
+///
 /// ```
 /// fhg::service::Service service(engine, {.shards = 4});
 /// service.handle(fhg::api::IsHappyRequest{"acme", 7, 123456789},
@@ -70,7 +78,6 @@
 #include "fhg/engine/engine.hpp"
 #include "fhg/obs/registry.hpp"
 #include "fhg/obs/trace.hpp"
-#include "fhg/service/metrics.hpp"
 
 namespace fhg::service {
 
@@ -166,18 +173,16 @@ class Service : public api::Handler {
   /// as typed statuses — the future never holds a broken promise).
   [[nodiscard]] std::future<api::Response> submit(api::Request request);
 
-  /// A consistent copy of every shard's counters (each shard's admission and
-  /// serving counters are read under that shard's lock).
-  [[nodiscard]] ServiceMetrics metrics() const;
-
-  /// Builds the full stats snapshot `GetStats` serves: the engine registry
-  /// (gauges refreshed first) plus every shard's `ShardMetrics` re-expressed
-  /// as labeled samples (`fhg_service_accepted_total{shard="0"}` …), sorted
-  /// by name; plus the slowest-trace ring.  `options.include_histograms` /
-  /// `options.include_traces` drop the timing-dependent parts, leaving a
-  /// snapshot that is a deterministic function of the served workload — the
-  /// transport-equivalence tests compare those byte for byte.  Thread-safe;
-  /// also callable directly (bypassing the queue) by exposition endpoints.
+  /// Builds the full stats snapshot `GetStats` serves: the engine registry,
+  /// service series included (`fhg_service_accepted_total{shard="0"}` …),
+  /// sorted by name with its gauges refreshed first; plus the slowest-trace
+  /// ring.  A request is counted as it completes, before its callback runs,
+  /// so a `GetStats` response counts itself in `accepted` only.
+  /// `options.include_histograms` / `options.include_traces` drop the
+  /// timing-dependent parts, leaving a snapshot that is a deterministic
+  /// function of the served workload — the transport-equivalence tests
+  /// compare those byte for byte.  Thread-safe; also callable directly
+  /// (bypassing the queue) by exposition endpoints.
   [[nodiscard]] api::GetStatsResponse stats(const api::GetStatsRequest& options) const;
 
   /// The ring of slowest traced requests observed so far.
@@ -203,12 +208,26 @@ class Service : public api::Handler {
     bool running = false;  ///< set under `mutex` once start() spawned the worker
     bool busy = false;     ///< under `mutex`: the worker is serving a drained batch
     std::size_t inline_reads = 0;  ///< under `mutex`: admitted inline, not yet completed
-    ShardMetrics metrics;
-    /// Live queue depth, registered on the engine's registry as
-    /// `fhg_service_queue_depth{shard="i"}`.  Maintained as +1 per admit and
-    /// −batch per drain, both while the shard mutex is already held.
-    obs::Gauge* queue_depth = nullptr;
     std::thread worker;
+
+    /// Registers shard `index`'s series on `metrics` (the engine registry),
+    /// each named `fhg_service_<name>{shard="index"}`.
+    Shard(obs::Registry& metrics, std::size_t index);
+    obs::Counter& accepted;          ///< admitted (queued or served inline)
+    obs::Counter& rejected_full;     ///< refused: queue at capacity
+    obs::Counter& rejected_stopped;  ///< refused: service draining/stopped
+    obs::Counter& queries;           ///< membership requests completed
+    obs::Counter& next_gatherings;   ///< next-gathering requests completed
+    obs::Counter& mutations;         ///< mutation batches completed
+    obs::Counter& admin;             ///< lifecycle / tenancy-wide requests completed
+    obs::Counter& failed;            ///< requests completed with an error
+    obs::Counter& batches;           ///< coalesced kernel runs (`flush_queries` calls)
+    /// Live queue depth: +1 per admit and −batch per drain, both while the
+    /// shard mutex is already held.
+    obs::Gauge& queue_depth;
+    obs::Gauge& queue_high_water;    ///< deepest queue observed
+    obs::HistogramCell& batch_size;  ///< requests per coalesced run
+    obs::HistogramCell& latency_us;  ///< admission→completion latency (µs)
   };
 
   /// The verdict of `admit`: a typed reject, a snapshot to serve an idle
@@ -230,26 +249,27 @@ class Service : public api::Handler {
   /// stopped and empty.
   void worker_loop(Shard& shard);
 
-  /// Serves one drained batch in submission order.
-  void process(std::deque<Request>& batch, ShardMetrics& local);
+  /// Serves one of `shard`'s drained batches in submission order.
+  void process(Shard& shard, std::deque<Request>& batch);
 
-  /// Coalesces `run` (query requests only, non-empty) into batched calls on
-  /// `snapshot` — the one read path of the queued and the inline reads.
-  void flush_queries(std::span<Request* const> run, const engine::QuerySnapshot& snapshot,
-                     ShardMetrics& local);
+  /// Coalesces `run` (query requests of `shard` only, non-empty) into
+  /// batched calls on `snapshot` — the one read path of the queued and the
+  /// inline reads.
+  void flush_queries(Shard& shard, std::span<Request* const> run,
+                     const engine::QuerySnapshot& snapshot);
 
   /// Applies one mutation request through the engine.
-  void serve_mutation(Request& request, ShardMetrics& local);
+  api::Response serve_mutation(Request& request);
 
   /// Serves one lifecycle / tenancy-wide request (`CreateInstance`,
-  /// `EraseInstance`, `ListInstances`, `Snapshot`, `Restore`) through the
+  /// `EraseInstance`, `ListInstances`, `Snapshot`, `Restore`, …) through the
   /// engine's typed entry points.
-  void serve_admin(Request& request, ShardMetrics& local);
+  api::Response serve_admin(Request& request);
 
-  /// Completes `request` with `response`, recording latency (and a failure,
-  /// if `response` is one) as of `now`.
-  void finish(Request& request, api::Response response, Clock::time_point now,
-              ShardMetrics& local);
+  /// Completes `request` with `response` as of `now`: counts it on
+  /// `shard` by kind (and as failed, if `response` is an error), records its
+  /// latency, then runs its callback.
+  void finish(Shard& shard, Request& request, api::Response response, Clock::time_point now);
 
   /// Offers a completed traced request's spans to the slowest-trace ring
   /// (no-op when `request.trace_id` is zero).
@@ -259,13 +279,6 @@ class Service : public api::Handler {
   ServiceOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   obs::TraceRing trace_ring_;  ///< slowest traced requests, fleet-wide
-  /// Cached handles into the engine registry for the batch kernels the
-  /// service runs directly on held snapshots — that path bypasses
-  /// `Engine::query_batch`, so the engine-level batch counters would
-  /// otherwise never move under serving load.
-  obs::Counter& engine_batches_;
-  obs::Counter& engine_batch_probes_;
-  obs::HistogramCell& engine_query_batch_us_;
   std::mutex lifecycle_mutex_;  ///< serializes start()/drain()
   bool started_ = false;        ///< guarded by lifecycle_mutex_
   std::atomic<bool> stopped_{false};

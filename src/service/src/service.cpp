@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fhg/api/codec.hpp"
@@ -34,23 +35,35 @@ QueryView view_of(const api::Request& body) {
   return {n.instance, n.node, n.after, false};
 }
 
+/// `fhg_service_<name>{shard="<index>"}`.
+std::string shard_series(std::string_view name, std::size_t index) {
+  return "fhg_service_" + std::string(name) + "{shard=\"" + std::to_string(index) + "\"}";
+}
+
 }  // namespace
 
+Service::Shard::Shard(obs::Registry& metrics, std::size_t index)
+    : accepted(metrics.counter(shard_series("accepted_total", index))),
+      rejected_full(metrics.counter(shard_series("rejected_full_total", index))),
+      rejected_stopped(metrics.counter(shard_series("rejected_stopped_total", index))),
+      queries(metrics.counter(shard_series("queries_total", index))),
+      next_gatherings(metrics.counter(shard_series("next_gatherings_total", index))),
+      mutations(metrics.counter(shard_series("mutations_total", index))),
+      admin(metrics.counter(shard_series("admin_total", index))),
+      failed(metrics.counter(shard_series("failed_total", index))),
+      batches(metrics.counter(shard_series("batches_total", index))),
+      queue_depth(metrics.gauge(shard_series("queue_depth", index))),
+      queue_high_water(metrics.gauge(shard_series("queue_high_water", index))),
+      batch_size(metrics.histogram(shard_series("batch_size", index))),
+      latency_us(metrics.histogram(shard_series("latency_us", index))) {}
+
 Service::Service(engine::Engine& engine, ServiceOptions options)
-    : engine_(engine),
-      options_(options),
-      engine_batches_(engine.metrics().counter("fhg_engine_batches_total")),
-      engine_batch_probes_(engine.metrics().counter("fhg_engine_batch_probes_total")),
-      engine_query_batch_us_(engine.metrics().histogram("fhg_engine_query_batch_us")) {
+    : engine_(engine), options_(options) {
   options_.shards = std::max<std::size_t>(options_.shards, 1);
   options_.queue_capacity = std::max<std::size_t>(options_.queue_capacity, 1);
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    // Depth gauges live on the engine's registry so GetStats and /metrics
-    // see them alongside the engine counters.
-    shards_.back()->queue_depth = &engine_.metrics().gauge(
-        "fhg_service_queue_depth{shard=\"" + std::to_string(i) + "\"}");
+    shards_.push_back(std::make_unique<Shard>(engine_.metrics(), i));
   }
   if (options_.start) {
     start();
@@ -114,14 +127,14 @@ Service::Admission Service::admit(Shard& shard, Request& request) {
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.stop || stopped_.load(std::memory_order_acquire)) {
-      ++shard.metrics.rejected_stopped;
+      shard.rejected_stopped.increment();
       return {api::StatusCode::kStopped, nullptr};
     }
     if (shard.queue.size() >= options_.queue_capacity) {
-      ++shard.metrics.rejected_full;
+      shard.rejected_full.increment();
       return {api::StatusCode::kQueueFull, nullptr};
     }
-    ++shard.metrics.accepted;
+    shard.accepted.increment();
     if (read && shard.running && !shard.busy && shard.queue.empty()) {
       // Everything admitted to this shard before this read has been served
       // and nothing after it can be applied until the lock is released, so
@@ -131,9 +144,8 @@ Service::Admission Service::admit(Shard& shard, Request& request) {
     }
     wake = shard.queue.empty();
     shard.queue.push_back(std::move(request));
-    shard.metrics.queue_high_water =
-        std::max<std::uint64_t>(shard.metrics.queue_high_water, shard.queue.size());
-    shard.queue_depth->add(1);
+    shard.queue_depth.add(1);
+    shard.queue_high_water.record_max(static_cast<std::int64_t>(shard.queue.size()));
   }
   if (wake) {
     // Only the empty→non-empty transition can find the worker asleep; every
@@ -145,7 +157,6 @@ Service::Admission Service::admit(Shard& shard, Request& request) {
 
 void Service::worker_loop(Shard& shard) {
   std::deque<Request> batch;
-  ShardMetrics local;
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
     shard.cv.wait(lock, [&] { return shard.stop || !shard.queue.empty(); });
@@ -153,7 +164,7 @@ void Service::worker_loop(Shard& shard) {
       return;  // stop requested and nothing left: graceful exit
     }
     batch.swap(shard.queue);
-    shard.queue_depth->add(-static_cast<std::int64_t>(batch.size()));
+    shard.queue_depth.add(-static_cast<std::int64_t>(batch.size()));
     shard.busy = true;
     lock.unlock();
     // One clock read stamps the whole drained batch: the queue span of each
@@ -162,50 +173,38 @@ void Service::worker_loop(Shard& shard) {
     for (Request& request : batch) {
       request.dequeued = dequeued;
     }
-    process(batch, local);
+    process(shard, batch);
     batch.clear();
-    // Serving counters accumulate locally and merge under the shard lock
-    // once per drained batch, so submitters never contend on per-request
-    // updates.
     lock.lock();
-    shard.metrics.merge(local);
     shard.busy = false;
-    local = ShardMetrics{};
   }
 }
 
-void Service::process(std::deque<Request>& batch, ShardMetrics& local) {
+void Service::process(Shard& shard, std::deque<Request>& batch) {
   std::vector<Request*> run;
   run.reserve(batch.size());
   // Each flush takes a fresh snapshot, so a run sees every mutation served
   // before it.
   const auto flush = [&] {
     if (!run.empty()) {
-      flush_queries(run, *engine_.query_snapshot(), local);
+      flush_queries(shard, run, *engine_.query_snapshot());
       run.clear();
     }
   };
   for (Request& request : batch) {
-    switch (request.body.index()) {
-      case 0:  // IsHappy
-      case 1:  // NextGathering
-        run.push_back(&request);
-        break;
-      case 2:  // ApplyMutations
-        // Preserve submission order around the mutation: queries queued
-        // before it are answered against the pre-mutation schedule, queries
-        // after it against the republished one.
-        flush();
-        serve_mutation(request, local);
-        break;
-      default:  // Create / Erase / List / Snapshot / Restore
-        // Lifecycle ops serialize through the same FIFO: a query queued
-        // after a create of the same name must observe the new tenant, and
-        // one queued after an erase must fail typed.
-        flush();
-        serve_admin(request, local);
-        break;
+    const std::size_t kind = request.body.index();
+    if (kind <= 1) {  // IsHappy / NextGathering
+      run.push_back(&request);
+      continue;
     }
+    // Mutations and lifecycle ops (Create / Erase / List / Snapshot / …)
+    // keep submission order: queries queued before one are answered against
+    // the state before it, queries after it against the state after it — a
+    // query queued after a create of the same name observes the new tenant,
+    // one queued after an erase fails typed.
+    flush();
+    api::Response response = kind == 2 ? serve_mutation(request) : serve_admin(request);
+    finish(shard, request, std::move(response), Clock::now());
   }
   flush();
 }
@@ -227,31 +226,36 @@ void Service::offer_trace(const Request& request, Clock::time_point now) {
       .total_us = us(now - request.enqueued)});
 }
 
-void Service::finish(Request& request, api::Response response, Clock::time_point now,
-                     ShardMetrics& local) {
+void Service::finish(Shard& shard, Request& request, api::Response response,
+                     Clock::time_point now) {
+  // Counted before `done` runs, so whoever holds the response sees it
+  // counted.  A GetStats built its payload before this point and so counts
+  // itself in `accepted` only.
+  const std::size_t kind = request.body.index();
+  (kind == 0   ? shard.queries
+   : kind == 1 ? shard.next_gatherings
+   : kind == 2 ? shard.mutations
+               : shard.admin)
+      .increment();
+  if (!response.ok()) {
+    shard.failed.increment();
+  }
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       now - request.enqueued);
-  local.latency_us.record(static_cast<std::uint64_t>(waited.count()));
-  if (!response.ok()) {
-    ++local.failed;
-  }
+  shard.latency_us.record(static_cast<std::uint64_t>(waited.count()));
   offer_trace(request, now);
   if (request.done) {
     request.done(std::move(response));
   }
 }
 
-void Service::flush_queries(std::span<Request* const> run, const engine::QuerySnapshot& snapshot,
-                            ShardMetrics& local) {
-  ++local.batches;
-  local.batch_size.record(run.size());
+void Service::flush_queries(Shard& shard, std::span<Request* const> run,
+                            const engine::QuerySnapshot& snapshot) {
+  shard.batches.increment();
+  shard.batch_size.record(run.size());
   // Resolve and validate each request individually, so one unknown instance
   // or out-of-range node fails that request alone instead of poisoning the
   // whole coalesced batch (the kernels throw on any invalid probe).
-  const auto fail_query = [&](Request& request, const QueryView& view, api::Status status) {
-    finish(request, api::Response{std::move(status), {}}, Clock::now(), local);
-    ++(view.membership ? local.queries : local.next_gatherings);
-  };
   std::vector<engine::Probe> member_probes;
   std::vector<Request*> member_requests;
   std::vector<engine::Probe> next_probes;
@@ -260,17 +264,19 @@ void Service::flush_queries(std::span<Request* const> run, const engine::QuerySn
     const QueryView view = view_of(request->body);
     const auto id = snapshot.id_of(view.instance);
     if (!id) {
-      fail_query(*request, view,
-                 api::Status::error(api::StatusCode::kNotFound,
-                                    "no instance named '" + std::string(view.instance) + "'"));
+      finish(shard, *request,
+             api::Response::error(api::StatusCode::kNotFound,
+                                  "no instance named '" + std::string(view.instance) + "'"),
+             Clock::now());
       continue;
     }
     if (view.node >= snapshot.num_nodes(*id)) {
-      fail_query(*request, view,
-                 api::Status::error(api::StatusCode::kInvalidArgument,
-                                    "node " + std::to_string(view.node) +
-                                        " out of range for instance '" +
-                                        std::string(view.instance) + "'"));
+      finish(shard, *request,
+             api::Response::error(api::StatusCode::kInvalidArgument,
+                                  "node " + std::to_string(view.node) +
+                                      " out of range for instance '" +
+                                      std::string(view.instance) + "'"),
+             Clock::now());
       continue;
     }
     const engine::Probe probe{.instance = *id, .node = view.node, .holiday = view.holiday};
@@ -297,74 +303,59 @@ void Service::flush_queries(std::span<Request* const> run, const engine::QuerySn
     }
     return api::Status::error(api::StatusCode::kInternal, e.what());
   };
-  // The kernel invocations below are the engine's batch pipeline even though
-  // they run on a held snapshot: count them on the engine registry exactly
-  // as Engine::query_batch would — the kernel's own time, start to return
-  // (or throw).  That end stamp also completes the requests.
-  const auto count_kernel = [&](std::size_t probes, Clock::time_point start,
-                                Clock::time_point end) {
-    engine_batches_.increment();
-    engine_batch_probes_.add(probes);
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(end - start);
-    engine_query_batch_us_.record(us.count() > 0 ? static_cast<std::uint64_t>(us.count()) : 0);
+  // Runs `kernel` on the held snapshot and counts it on the engine, as
+  // Engine::query_batch would: the kernel's own time, start to return (or
+  // throw).  Returns whether it succeeded and the end stamp, which also
+  // completes the requests.
+  const auto run_kernel = [&](std::size_t probes, const auto& kernel) {
+    const auto start = Clock::now();
+    bool batched = true;
+    try {
+      kernel();
+    } catch (const std::exception&) {
+      batched = false;
+    }
+    const auto now = Clock::now();
+    engine_.record_kernel(probes, now - start);
+    return std::pair{batched, now};
   };
   if (!member_probes.empty()) {
-    const auto kernel_start = Clock::now();
-    Clock::time_point now;
     std::vector<std::uint8_t> answers(member_probes.size());
-    try {
-      snapshot.query_batch(member_probes, answers);
-      now = Clock::now();
-      for (std::size_t i = 0; i < member_requests.size(); ++i) {
-        finish(*member_requests[i],
-               {api::Status::good(), api::IsHappyResponse{answers[i] != 0}}, now, local);
-      }
-    } catch (const std::exception&) {
-      now = Clock::now();
-      for (Request* request : member_requests) {
-        const QueryView view = view_of(request->body);
-        try {
-          const bool happy = engine_.is_happy(view.instance, view.node, view.holiday);
-          finish(*request, {api::Status::good(), api::IsHappyResponse{happy}}, now, local);
-        } catch (const std::exception& single) {
-          finish(*request, {single_status(single), {}}, now, local);
-        }
+    const auto [batched, now] = run_kernel(
+        member_probes.size(), [&] { snapshot.query_batch(member_probes, answers); });
+    for (std::size_t i = 0; i < member_requests.size(); ++i) {
+      Request& request = *member_requests[i];
+      try {
+        const QueryView view = view_of(request.body);
+        const bool happy = batched ? answers[i] != 0
+                                   : engine_.is_happy(view.instance, view.node, view.holiday);
+        finish(shard, request, {api::Status::good(), api::IsHappyResponse{happy}}, now);
+      } catch (const std::exception& single) {
+        finish(shard, request, {single_status(single), {}}, now);
       }
     }
-    local.queries += member_requests.size();
-    count_kernel(member_probes.size(), kernel_start, now);
   }
   if (!next_probes.empty()) {
-    const auto kernel_start = Clock::now();
-    Clock::time_point now;
     std::vector<std::uint64_t> answers(next_probes.size());
-    try {
-      snapshot.next_gathering_batch(next_probes, answers);
-      now = Clock::now();
-      for (std::size_t i = 0; i < next_requests.size(); ++i) {
-        finish(*next_requests[i],
-               {api::Status::good(), api::NextGatheringResponse{answers[i]}}, now, local);
-      }
-    } catch (const std::exception&) {
-      now = Clock::now();
-      for (Request* request : next_requests) {
-        const QueryView view = view_of(request->body);
-        try {
-          const auto next = engine_.next_gathering(view.instance, view.node, view.holiday);
-          const api::NextGatheringResponse answer{next.value_or(engine::kNoGathering)};
-          finish(*request, {api::Status::good(), answer}, now, local);
-        } catch (const std::exception& single) {
-          finish(*request, {single_status(single), {}}, now, local);
-        }
+    const auto [batched, now] = run_kernel(
+        next_probes.size(), [&] { snapshot.next_gathering_batch(next_probes, answers); });
+    for (std::size_t i = 0; i < next_requests.size(); ++i) {
+      Request& request = *next_requests[i];
+      try {
+        const QueryView view = view_of(request.body);
+        const std::uint64_t next =
+            batched ? answers[i]
+                    : engine_.next_gathering(view.instance, view.node, view.holiday)
+                          .value_or(engine::kNoGathering);
+        finish(shard, request, {api::Status::good(), api::NextGatheringResponse{next}}, now);
+      } catch (const std::exception& single) {
+        finish(shard, request, {single_status(single), {}}, now);
       }
     }
-    local.next_gatherings += next_requests.size();
-    count_kernel(next_probes.size(), kernel_start, now);
   }
 }
 
-void Service::serve_mutation(Request& request, ShardMetrics& local) {
-  ++local.mutations;
+api::Response Service::serve_mutation(Request& request) {
   auto& mutate = std::get<api::ApplyMutationsRequest>(request.body);
   api::Response response;
   try {
@@ -381,11 +372,10 @@ void Service::serve_mutation(Request& request, ShardMetrics& local) {
   } catch (const std::exception& e) {
     response = api::Response::error(api::StatusCode::kInternal, e.what());
   }
-  finish(request, std::move(response), Clock::now(), local);
+  return response;
 }
 
-void Service::serve_admin(Request& request, ShardMetrics& local) {
-  ++local.admin;
+api::Response Service::serve_admin(Request& request) {
   api::Response response;
   if (auto* create = std::get_if<api::CreateInstanceRequest>(&request.body)) {
     try {
@@ -497,7 +487,7 @@ void Service::serve_admin(Request& request, ShardMetrics& local) {
       response = api::Response::error(api::StatusCode::kInvalidArgument, e.what());
     }
   }
-  finish(request, std::move(response), Clock::now(), local);
+  return response;
 }
 
 void Service::handle(api::Request request, api::ResponseCallback done) {
@@ -524,11 +514,9 @@ void Service::handle(api::Request request, const api::RequestContext& context,
     // An idle shard's read: served here, through the same kernel path the
     // worker uses, with no queue wait.
     internal.dequeued = internal.enqueued;
-    ShardMetrics local;
     Request* const run[] = {&internal};
-    flush_queries(run, *admission.snapshot, local);
+    flush_queries(shard, run, *admission.snapshot);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.metrics.merge(local);
     if (--shard.inline_reads == 0 && shard.stop) {
       shard.cv.notify_all();  // a drain is waiting for this read
     }
@@ -543,62 +531,15 @@ std::future<api::Response> Service::submit(api::Request request) {
   return future;
 }
 
-ServiceMetrics Service::metrics() const {
-  ServiceMetrics out;
-  out.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    out.shards.push_back(shard->metrics);
-  }
-  return out;
-}
-
 api::GetStatsResponse Service::stats(const api::GetStatsRequest& options) const {
   engine_.refresh_gauges();
   api::GetStatsResponse out;
-  out.metrics = engine_.metrics().snapshot();
-  // Re-express each shard's plain-struct counters as labeled samples, so the
-  // wire carries one uniform metric vocabulary.
-  const ServiceMetrics service = metrics();
-  const auto counter = [&](std::string name, std::size_t shard, std::uint64_t value) {
-    name += "{shard=\"" + std::to_string(shard) + "\"}";
-    out.metrics.push_back(obs::MetricSample{
-        .name = std::move(name), .kind = obs::MetricKind::kCounter, .value = value});
-  };
-  for (std::size_t i = 0; i < service.shards.size(); ++i) {
-    const ShardMetrics& shard = service.shards[i];
-    counter("fhg_service_accepted_total", i, shard.accepted);
-    counter("fhg_service_admin_total", i, shard.admin);
-    counter("fhg_service_batches_total", i, shard.batches);
-    counter("fhg_service_failed_total", i, shard.failed);
-    counter("fhg_service_mutations_total", i, shard.mutations);
-    counter("fhg_service_next_gatherings_total", i, shard.next_gatherings);
-    counter("fhg_service_queries_total", i, shard.queries);
-    counter("fhg_service_rejected_full_total", i, shard.rejected_full);
-    counter("fhg_service_rejected_stopped_total", i, shard.rejected_stopped);
-    out.metrics.push_back(obs::MetricSample{
-        .name = "fhg_service_queue_high_water{shard=\"" + std::to_string(i) + "\"}",
-        .kind = obs::MetricKind::kGauge,
-        .value = shard.queue_high_water});
-    if (options.include_histograms) {
-      const auto histogram = [&](std::string name, const obs::Histogram& h) {
-        name += "{shard=\"" + std::to_string(i) + "\"}";
-        out.metrics.push_back(obs::MetricSample{.name = std::move(name),
-                                                .kind = obs::MetricKind::kHistogram,
-                                                .value = h.total(),
-                                                .histogram = h});
-      };
-      histogram("fhg_service_batch_size", shard.batch_size);
-      histogram("fhg_service_latency_us", shard.latency_us);
-    }
-  }
+  out.metrics = engine_.metrics().snapshot();  // already sorted by name
   if (!options.include_histograms) {
     std::erase_if(out.metrics, [](const obs::MetricSample& sample) {
       return sample.kind == obs::MetricKind::kHistogram;
     });
   }
-  std::sort(out.metrics.begin(), out.metrics.end(),
-            [](const obs::MetricSample& a, const obs::MetricSample& b) { return a.name < b.name; });
   if (options.include_traces) {
     out.traces = trace_ring_.snapshot();
   }

@@ -4,10 +4,10 @@
 /// Declarative workload scenarios for the serving layer.
 ///
 /// A `ScenarioSpec` names a structured instance family (the graph topology
-/// every tenant runs on), a fleet size, a query mix, and a churn rate — the
-/// knobs that fair-periodic-assignment evaluations sweep.  The
+/// every tenant runs on), a fleet size, a query mix, and a mutation rate —
+/// the knobs that fair-periodic-assignment evaluations sweep.  The
 /// `ScenarioGenerator` expands a spec deterministically: tenant `i`'s graph,
-/// scheduler recipe, every probe of every query round, and every churn
+/// scheduler recipe, every probe of every query round, and every mutation
 /// decision are pure functions of `(spec, i)`, so the engine, the
 /// `fhg_serve` example, and the benchmarks all consume *identical*
 /// workloads for a given spec, regardless of thread count or call order.
@@ -16,7 +16,7 @@
 ///
 /// Scenario strings give the spec a one-line form shared by CLI flags and
 /// bench labels: `family:key=value,...`, e.g.
-/// `power-law:fleet=1000,nodes=48,seed=7,churn=0.05,next=0.125`.
+/// `power-law:fleet=1000,nodes=48,seed=7,mutation=0.05,next=0.125`.
 
 #include <cstdint>
 #include <optional>
@@ -65,7 +65,6 @@ struct ScenarioSpec {
   GraphFamily family = GraphFamily::kPowerLaw;
   std::size_t fleet = 1000;     ///< number of tenant instances
   graph::NodeId nodes = 48;     ///< requested nodes per tenant (families round)
-  double churn = 0.0;           ///< fraction of the fleet replaced per churn round
   double aperiodic = 0.2;       ///< fraction of tenants running aperiodic schedulers
   /// Fraction of tenants running the §6 dynamic scheduler.  Takes precedence
   /// over `aperiodic` when the fractions overlap (`dynamic=1` is always a
@@ -85,7 +84,7 @@ struct ScenarioSpec {
 
 /// Named single-tenant large-graph presets for the parallel-coloring
 /// benchmarks and stress runs: `powerlaw-1m` and `geometric-1m` expand to a
-/// fleet of one fully dynamic 2^20-node tenant (mutation on, churn off).
+/// fleet of one fully dynamic 2^20-node tenant (mutation on).
 /// Nullopt for unknown names.
 [[nodiscard]] std::optional<ScenarioSpec> scenario_preset(std::string_view name);
 
@@ -93,7 +92,7 @@ struct ScenarioSpec {
 [[nodiscard]] const std::vector<std::string>& scenario_preset_names();
 
 /// Parses a scenario string `family[:key=value,...]` with keys `fleet`,
-/// `nodes`, `seed`, `churn`, `aperiodic`, `dynamic`, `mutation`, `next`,
+/// `nodes`, `seed`, `aperiodic`, `dynamic`, `mutation`, `next`,
 /// `horizon`, `cmds`.  The leading token may also be a preset name
 /// (`powerlaw-1m:mutation=0` starts from the preset, then applies the
 /// overrides).  Nullopt on an unknown family/preset, unknown key, or
@@ -123,25 +122,18 @@ class ScenarioGenerator {
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
 
-  /// Tenant `i`'s name: "<family>-<i>".  Deliberately stable across churn
-  /// generations — `churn_round` erases and re-creates the *same* name, only
-  /// the graph/recipe behind it changes — so slot identity survives churn.
+  /// Tenant `i`'s name: "<family>-<i>".
   [[nodiscard]] std::string tenant_name(std::size_t i) const;
 
-  /// Expands tenant `i` (generation 0).  Pure function of `(spec, i)`.
-  [[nodiscard]] TenantSpec tenant(std::size_t i) const { return tenant_at(i, 0); }
+  /// Expands tenant `i`.  Pure function of `(spec, i)`.
+  [[nodiscard]] TenantSpec tenant(std::size_t i) const;
 
-  /// Expands tenant `i` at churn generation `generation` (each churn
-  /// replacement bumps the slot's generation, re-deriving graph + recipe
-  /// from fresh sub-seeds).
-  [[nodiscard]] TenantSpec tenant_at(std::size_t i, std::uint64_t generation) const;
+  /// The scheduler recipe slot `i` runs — `tenant` without building the
+  /// graph.  Cheap (a few hash mixes), so consumers can ask per request,
+  /// e.g. whether a rolled slot is dynamic.
+  [[nodiscard]] engine::InstanceSpec recipe(std::size_t i) const;
 
-  /// The scheduler recipe slot `i` runs at `generation` — `tenant_at`
-  /// without building the graph.  Cheap (a few hash mixes), so consumers
-  /// can ask per request, e.g. whether a rolled slot is dynamic.
-  [[nodiscard]] engine::InstanceSpec recipe_at(std::size_t i, std::uint64_t generation) const;
-
-  /// Creates the whole generation-0 fleet in `eng`.
+  /// Creates the whole fleet in `eng`.
   void populate(engine::Engine& eng) const;
 
   /// Deterministic probe round `round` with `count` probes total, split per
@@ -151,23 +143,13 @@ class ScenarioGenerator {
   [[nodiscard]] ProbeRound probes(const engine::QuerySnapshot& snapshot, std::size_t count,
                                   std::uint64_t round = 0) const;
 
-  /// Applies churn round `round`: deterministically picks `churn · fleet`
-  /// slots, erases each and re-creates it at the next generation — the
-  /// whole-tenant-replacement *fallback* for topology change.  Loses the
-  /// slot's gap history and pays a full rebuild; prefer `mutation_round` for
-  /// tenants that can mutate in place.  Returns the number of tenants
-  /// replaced.  `generations` must map slot → current generation and is
-  /// updated in place (size `fleet`, all zeros initially).
-  std::size_t churn_round(engine::Engine& eng, std::uint64_t round,
-                          std::vector<std::uint64_t>& generations) const;
-
   /// Deterministic protocol request stream `round` with `count` requests —
   /// ready-to-send `api::Request` values addressed by tenant *name*, the
   /// shape every consumer of the unified protocol speaks (`api::Client`
   /// over either transport, `service::Service::handle`, load generators,
   /// benches, tests).  A `mutation` fraction of the rolls attempt an
-  /// `ApplyMutations` batch (kept only when the rolled slot's generation-0
-  /// recipe is dynamic — otherwise the roll degrades to a query; commands
+  /// `ApplyMutations` batch (kept only when the rolled slot's recipe is
+  /// dynamic — otherwise the roll degrades to a query; commands
   /// come from `mutation_commands` with the recipe node range), a
   /// `mix.next_gathering` fraction of the rest are next-gathering probes,
   /// the remainder membership probes.  Query nodes are drawn below
@@ -193,7 +175,7 @@ class ScenarioGenerator {
   /// of commands that changed topology.
   std::size_t mutation_round(engine::Engine& eng, std::uint64_t round) const;
 
-  /// Byte-serialization of the full generation-0 expansion (spec, every
+  /// Byte-serialization of the full expansion (spec, every
   /// tenant's edges and recipe).  Two generators with equal specs produce
   /// byte-identical fingerprints; any divergence in expansion shows up here.
   [[nodiscard]] std::vector<std::uint8_t> fingerprint() const;

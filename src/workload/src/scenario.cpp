@@ -83,7 +83,6 @@ std::optional<ScenarioSpec> scenario_preset(std::string_view name) {
   ScenarioSpec spec;
   spec.fleet = 1;
   spec.nodes = 1u << 20;
-  spec.churn = 0.0;
   spec.aperiodic = 0.0;
   spec.dynamic_share = 1.0;
   spec.mutation = 1.0;
@@ -160,12 +159,6 @@ std::optional<ScenarioSpec> parse_scenario(std::string_view text) {
         return std::nullopt;
       }
       spec.commands_per_mutation = static_cast<std::size_t>(*v);
-    } else if (key == "churn") {
-      const auto v = parse_double(value);
-      if (!v) {
-        return std::nullopt;
-      }
-      spec.churn = *v;
     } else if (key == "aperiodic") {
       const auto v = parse_double(value);
       if (!v) {
@@ -202,7 +195,7 @@ std::string scenario_name(const ScenarioSpec& spec) {
   out << graph_family_name(spec.family) << ":fleet=" << spec.fleet << ",nodes=" << spec.nodes
       << ",seed=" << spec.seed << ",horizon=" << spec.horizon
       << ",cmds=" << spec.commands_per_mutation
-      << ",churn=" << format_double(spec.churn) << ",aperiodic=" << format_double(spec.aperiodic)
+      << ",aperiodic=" << format_double(spec.aperiodic)
       << ",dynamic=" << format_double(spec.dynamic_share)
       << ",mutation=" << format_double(spec.mutation)
       << ",next=" << format_double(spec.mix.next_gathering);
@@ -216,7 +209,6 @@ ScenarioGenerator::ScenarioGenerator(ScenarioSpec spec) : spec_(spec) {
   if (spec_.nodes < 4) {
     throw std::invalid_argument("ScenarioGenerator: need at least 4 nodes per tenant");
   }
-  spec_.churn = std::clamp(spec_.churn, 0.0, 1.0);
   spec_.aperiodic = std::clamp(spec_.aperiodic, 0.0, 1.0);
   spec_.dynamic_share = std::clamp(spec_.dynamic_share, 0.0, 1.0);
   spec_.mutation = std::clamp(spec_.mutation, 0.0, 1.0);
@@ -251,9 +243,10 @@ graph::Graph ScenarioGenerator::tenant_graph(std::uint64_t tenant_seed) const {
   throw std::invalid_argument("ScenarioGenerator: unknown graph family");
 }
 
-engine::InstanceSpec ScenarioGenerator::recipe_at(std::size_t i, std::uint64_t generation) const {
-  const std::uint64_t tenant_seed =
-      parallel::mix_keys(spec_.seed, parallel::mix_keys(i, generation));
+engine::InstanceSpec ScenarioGenerator::recipe(std::size_t i) const {
+  // The inner `mix_keys(i, 0)` is part of the derivation: it pins the fleet
+  // every scenario string expands to.
+  const std::uint64_t tenant_seed = parallel::mix_keys(spec_.seed, parallel::mix_keys(i, 0));
   engine::InstanceSpec recipe;
   recipe.seed = tenant_seed;
   // Deterministic kind choice: a `dynamic` fraction of slots run the §6
@@ -278,10 +271,10 @@ engine::InstanceSpec ScenarioGenerator::recipe_at(std::size_t i, std::uint64_t g
   return recipe;
 }
 
-TenantSpec ScenarioGenerator::tenant_at(std::size_t i, std::uint64_t generation) const {
-  engine::InstanceSpec recipe = recipe_at(i, generation);
-  return TenantSpec{.name = tenant_name(i), .graph = tenant_graph(recipe.seed),
-                    .spec = std::move(recipe)};
+TenantSpec ScenarioGenerator::tenant(std::size_t i) const {
+  engine::InstanceSpec spec = recipe(i);
+  return TenantSpec{.name = tenant_name(i), .graph = tenant_graph(spec.seed),
+                    .spec = std::move(spec)};
 }
 
 void ScenarioGenerator::populate(engine::Engine& eng) const {
@@ -318,26 +311,6 @@ ProbeRound ScenarioGenerator::probes(const engine::QuerySnapshot& snapshot, std:
   return out;
 }
 
-std::size_t ScenarioGenerator::churn_round(engine::Engine& eng, std::uint64_t round,
-                                           std::vector<std::uint64_t>& generations) const {
-  if (generations.size() != spec_.fleet) {
-    throw std::invalid_argument("ScenarioGenerator::churn_round: generations size mismatch");
-  }
-  const auto replacements =
-      static_cast<std::size_t>(spec_.churn * static_cast<double>(spec_.fleet));
-  Rng rng(spec_.seed, parallel::mix_keys(0x63687572, round));
-  std::set<std::size_t> slots;
-  while (slots.size() < std::min(replacements, spec_.fleet)) {
-    slots.insert(static_cast<std::size_t>(rng.uniform_below(spec_.fleet)));
-  }
-  for (const std::size_t slot : slots) {
-    (void)eng.erase_instance(tenant_name(slot));
-    TenantSpec t = tenant_at(slot, ++generations[slot]);
-    (void)eng.create_instance(std::move(t.name), std::move(t.graph), std::move(t.spec));
-  }
-  return slots.size();
-}
-
 std::vector<api::Request> ScenarioGenerator::request_stream(std::size_t count,
                                                             std::uint64_t round) const {
   Rng rng(spec_.seed, parallel::mix_keys(0x73657276, round));  // "serv"
@@ -346,10 +319,10 @@ std::vector<api::Request> ScenarioGenerator::request_stream(std::size_t count,
   for (std::size_t q = 0; q < count; ++q) {
     const auto slot = static_cast<std::size_t>(rng.uniform_below(spec_.fleet));
     if (spec_.mutation > 0.0 && rng.uniform_real() < spec_.mutation &&
-        recipe_at(slot, 0).kind == engine::SchedulerKind::kDynamicPrefixCode) {
+        recipe(slot).kind == engine::SchedulerKind::kDynamicPrefixCode) {
       // A distinct command round per request keeps the marry/divorce mixes
       // from repeating within one stream.  Endpoints are drawn from the
-      // recipe node range, which every generation's live topology covers.
+      // recipe node range, which the live topology always covers.
       out.push_back(api::ApplyMutationsRequest{
           tenant_name(slot), mutation_commands(slot, parallel::mix_keys(round, q),
                                                spec_.nodes)});
@@ -406,7 +379,7 @@ std::size_t ScenarioGenerator::mutation_round(engine::Engine& eng, std::uint64_t
     const std::string name = tenant_name(slot);
     const auto instance = eng.find(name);
     if (!instance || !instance->dynamic()) {
-      continue;  // churned into a non-dynamic recipe, or erased outright
+      continue;  // erased, or replaced by a non-dynamic tenant
     }
     const auto commands = mutation_commands(slot, round, instance->graph().num_nodes());
     applied += eng.apply_mutations(name, commands).applied;

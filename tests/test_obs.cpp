@@ -105,6 +105,34 @@ TEST(ObsHistogram, MergeAddsBucketwiseAndEmptyMergeIsIdentity) {
   EXPECT_EQ(empty, b);
 }
 
+TEST(ObsHistogram, BucketsArePowersOfTwo) {
+  EXPECT_EQ(fo::Histogram::bucket_of(0), 0u);
+  EXPECT_EQ(fo::Histogram::bucket_of(1), 1u);
+  EXPECT_EQ(fo::Histogram::bucket_of(2), 2u);
+  EXPECT_EQ(fo::Histogram::bucket_of(3), 2u);
+  EXPECT_EQ(fo::Histogram::bucket_of(4), 3u);
+  EXPECT_EQ(fo::Histogram::bucket_of(7), 3u);
+  EXPECT_EQ(fo::Histogram::bucket_of(8), 4u);
+  // Values past the last exact bucket clamp into it.
+  EXPECT_EQ(fo::Histogram::bucket_of(~std::uint64_t{0}), fo::Histogram::kBuckets - 1);
+  EXPECT_EQ(fo::Histogram::bucket_floor(0), 0u);
+  EXPECT_EQ(fo::Histogram::bucket_floor(1), 1u);
+  EXPECT_EQ(fo::Histogram::bucket_floor(4), 8u);
+}
+
+TEST(ObsHistogram, RecordsTotalsAndMerges) {
+  fo::Histogram a;
+  a.record(0);
+  a.record(5);
+  a.record(5);
+  EXPECT_EQ(a.total(), 3u);
+  fo::Histogram b;
+  b.record(1);
+  b.merge(a);
+  EXPECT_EQ(b.total(), 4u);
+  EXPECT_EQ(b.buckets[fo::Histogram::bucket_of(5)], 2u);
+}
+
 // ------------------------------------------------------------- registry ----
 
 TEST(ObsRegistry, HandlesAreStableAndIdempotent) {

@@ -24,8 +24,9 @@
 #include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
 #include "fhg/graph/generators.hpp"
+#include "fhg/obs/format.hpp"
 #include "fhg/obs/histogram.hpp"
-#include "fhg/service/metrics.hpp"
+#include "fhg/obs/registry.hpp"
 #include "fhg/service/service.hpp"
 #include "fhg/workload/scenario.hpp"
 
@@ -83,6 +84,12 @@ std::uint64_t next_of(const fa::Response& response) {
   return next != nullptr ? next->holiday : 0;
 }
 
+/// `series` in the service's stats, summed across its shard labels (a
+/// histogram contributes its observation count).
+std::uint64_t stat(const fs::Service& service, std::string_view series) {
+  return fo::sum_series(service.stats({}).metrics, series);
+}
+
 /// The result a successful ApplyMutations response carries.
 fa::ApplyMutationsResponse mutation_of(const fa::Response& response) {
   EXPECT_TRUE(response.ok()) << response.status.detail;
@@ -91,48 +98,6 @@ fa::ApplyMutationsResponse mutation_of(const fa::Response& response) {
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- metrics -------
-
-TEST(ServiceMetrics, HistogramBucketsArePowersOfTwo) {
-  EXPECT_EQ(fo::Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(fo::Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(fo::Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(fo::Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(fo::Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(fo::Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(fo::Histogram::bucket_of(8), 4u);
-  // Values past the last exact bucket clamp into it.
-  EXPECT_EQ(fo::Histogram::bucket_of(~std::uint64_t{0}), fo::Histogram::kBuckets - 1);
-  EXPECT_EQ(fo::Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(fo::Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(fo::Histogram::bucket_floor(4), 8u);
-}
-
-TEST(ServiceMetrics, HistogramRecordsTotalsAndMerges) {
-  fo::Histogram a;
-  a.record(0);
-  a.record(5);
-  a.record(5);
-  EXPECT_EQ(a.total(), 3u);
-  fo::Histogram b;
-  b.record(1);
-  b.merge(a);
-  EXPECT_EQ(b.total(), 4u);
-  EXPECT_EQ(b.buckets[fo::Histogram::bucket_of(5)], 2u);
-}
-
-TEST(ServiceMetrics, ShardMergeSumsCountersAndMaxesHighWater) {
-  fs::ShardMetrics a;
-  a.accepted = 10;
-  a.queue_high_water = 3;
-  fs::ShardMetrics b;
-  b.accepted = 5;
-  b.queue_high_water = 8;
-  a.merge(b);
-  EXPECT_EQ(a.accepted, 15u);
-  EXPECT_EQ(a.queue_high_water, 8u);
-}
 
 // -------------------------------------------------------- admission --------
 
@@ -172,10 +137,9 @@ TEST(Service, BackpressureRejectsTypedWhenQueueFull) {
     EXPECT_TRUE(std::holds_alternative<fa::IsHappyResponse>(response.payload));
   }
   EXPECT_EQ(invoked, 1);
-  const auto totals = service.metrics().totals();
-  EXPECT_EQ(totals.accepted, 4u);
-  EXPECT_EQ(totals.rejected_full, 2u);
-  EXPECT_EQ(totals.queue_high_water, 4u);
+  EXPECT_EQ(stat(service, "fhg_service_accepted_total"), 4u);
+  EXPECT_EQ(stat(service, "fhg_service_rejected_full_total"), 2u);
+  EXPECT_EQ(stat(service, "fhg_service_queue_high_water"), 4u);
 }
 
 TEST(Service, StoppedServiceRejectsTyped) {
@@ -194,7 +158,7 @@ TEST(Service, StoppedServiceRejectsTyped) {
   EXPECT_EQ(refused.status.name(), "stopped");
   EXPECT_EQ(service.submit(fa::IsHappyRequest{"dyn", 0, 1}).get().status.code,
             fa::StatusCode::kStopped);
-  EXPECT_EQ(service.metrics().totals().rejected_stopped, 2u);
+  EXPECT_EQ(stat(service, "fhg_service_rejected_stopped_total"), 2u);
 }
 
 TEST(Service, UnknownInstanceAndBadNodeFailPerRequest) {
@@ -220,7 +184,93 @@ TEST(Service, UnknownInstanceAndBadNodeFailPerRequest) {
   }
   EXPECT_EQ(bad_node.get().status.code, fa::StatusCode::kInvalidArgument);
   service.drain();
-  EXPECT_EQ(service.metrics().totals().failed, 3u);
+  EXPECT_EQ(stat(service, "fhg_service_failed_total"), 3u);
+}
+
+// ------------------------------------------------------------ stats --------
+
+TEST(Service, GetStatsReportsExactServiceSeriesForASerialStream) {
+  auto engine = make_dynamic_single();
+  // One shard and one request in flight at a time: every count below is a
+  // function of the stream alone.
+  fs::Service service(*engine, {.shards = 1});
+  const std::vector<fa::Request> stream{
+      fa::IsHappyRequest{"dyn", 0, 1},
+      fa::IsHappyRequest{"dyn", 1, 2},
+      fa::NextGatheringRequest{"dyn", 2, 0},
+      fa::IsHappyRequest{"dyn", 1000, 1},  // bad node: fails typed
+      fa::ApplyMutationsRequest{"dyn", {fd::insert_edge_command(3, 6)}},
+      fa::CreateInstanceRequest{"tmp", 6, {{0, 1}, {2, 3}}, fe::InstanceSpec{}},
+      fa::EraseInstanceRequest{"tmp"},
+  };
+  for (const fa::Request& request : stream) {
+    (void)service.submit(request).get();
+  }
+  const fa::Response response =
+      service.submit(fa::GetStatsRequest{.include_histograms = true, .include_traces = false})
+          .get();
+  ASSERT_TRUE(response.ok()) << response.status.detail;
+  const auto& stats = std::get<fa::GetStatsResponse>(response.payload);
+
+  struct Expected {
+    std::string name;
+    fo::MetricKind kind;
+    std::uint64_t value;
+  };
+  constexpr auto kCounter = fo::MetricKind::kCounter;
+  constexpr auto kGauge = fo::MetricKind::kGauge;
+  constexpr auto kHistogram = fo::MetricKind::kHistogram;
+  // Name order.  The GetStats request counts itself as accepted, but not as
+  // admin nor in the latency histogram: both are recorded after its
+  // payload was built.  Each read is a kernel run of one.
+  const std::vector<Expected> expected{
+      {"fhg_service_accepted_total{shard=\"0\"}", kCounter, 8},
+      {"fhg_service_admin_total{shard=\"0\"}", kCounter, 2},
+      {"fhg_service_batch_size{shard=\"0\"}", kHistogram, 4},
+      {"fhg_service_batches_total{shard=\"0\"}", kCounter, 4},
+      {"fhg_service_failed_total{shard=\"0\"}", kCounter, 1},
+      {"fhg_service_latency_us{shard=\"0\"}", kHistogram, 7},
+      {"fhg_service_mutations_total{shard=\"0\"}", kCounter, 1},
+      {"fhg_service_next_gatherings_total{shard=\"0\"}", kCounter, 1},
+      {"fhg_service_queries_total{shard=\"0\"}", kCounter, 3},
+      {"fhg_service_queue_depth{shard=\"0\"}", kGauge, 0},
+      {"fhg_service_queue_high_water{shard=\"0\"}", kGauge, 1},
+      {"fhg_service_rejected_full_total{shard=\"0\"}", kCounter, 0},
+      {"fhg_service_rejected_stopped_total{shard=\"0\"}", kCounter, 0},
+  };
+  std::vector<const fo::MetricSample*> service_samples;
+  for (const fo::MetricSample& sample : stats.metrics) {
+    if (sample.name.starts_with("fhg_service_")) {
+      service_samples.push_back(&sample);
+    }
+  }
+  ASSERT_EQ(service_samples.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const fo::MetricSample& sample = *service_samples[i];
+    EXPECT_EQ(sample.name, expected[i].name);
+    EXPECT_EQ(sample.kind, expected[i].kind) << sample.name;
+    EXPECT_EQ(sample.value, expected[i].value) << sample.name;
+  }
+  // Every kernel run held one probe; the bad node never reached a kernel.
+  EXPECT_EQ(service_samples[2]->histogram.buckets[fo::Histogram::bucket_of(1)], 4u);
+  const auto value_of = [](const std::vector<fo::MetricSample>& samples, std::string_view name) {
+    for (const fo::MetricSample& sample : samples) {
+      if (sample.name == name) {
+        return sample.value;
+      }
+    }
+    ADD_FAILURE() << "no sample named " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(value_of(stats.metrics, "fhg_engine_batches_total"), 3u);
+  EXPECT_EQ(value_of(stats.metrics, "fhg_engine_batch_probes_total"), 3u);
+
+  // Once drained, the GetStats request is counted as admin and timed too.
+  service.drain();
+  const std::vector<fo::MetricSample> after = service.stats({}).metrics;
+  EXPECT_EQ(value_of(after, "fhg_service_accepted_total{shard=\"0\"}"), 8u);
+  EXPECT_EQ(value_of(after, "fhg_service_admin_total{shard=\"0\"}"), 3u);
+  EXPECT_EQ(value_of(after, "fhg_service_latency_us{shard=\"0\"}"), 8u);
 }
 
 // ------------------------------------------------------- inline reads -----
@@ -268,11 +318,12 @@ TEST(Service, IdleShardServesReadsOnTheSubmittingThread) {
   ASSERT_TRUE(ran);
   EXPECT_EQ(missing.status.code, fa::StatusCode::kNotFound);
   service.drain();
-  const auto totals = service.metrics().totals();
-  EXPECT_EQ(totals.accepted, reads + 1);
-  EXPECT_EQ(totals.queries + totals.next_gatherings, reads + 1);
-  EXPECT_EQ(totals.failed, 1u);
-  EXPECT_EQ(totals.queue_high_water, 0u);  // no read ever waited in a queue
+  EXPECT_EQ(stat(service, "fhg_service_accepted_total"), reads + 1);
+  EXPECT_EQ(stat(service, "fhg_service_queries_total") +
+                stat(service, "fhg_service_next_gatherings_total"),
+            reads + 1);
+  EXPECT_EQ(stat(service, "fhg_service_failed_total"), 1u);
+  EXPECT_EQ(stat(service, "fhg_service_queue_high_water"), 0u);  // no read ever waited in a queue
 }
 
 TEST(Service, DeferredStartAndBusyShardsQueueReads) {
@@ -297,7 +348,10 @@ TEST(Service, DeferredStartAndBusyShardsQueueReads) {
 
   // Busy: the worker is serving a drained batch (blocked inside a
   // ListInstances completion), so a read queues behind it even though the
-  // queue itself is empty.
+  // queue itself is empty.  A fresh engine, because the service series live
+  // on the engine registry: the high-water mark below must be this
+  // service's alone.
+  engine = make_dynamic_single();
   fs::Service service(*engine, {.shards = 1});
   std::promise<void> entered;
   std::promise<void> release;
@@ -319,7 +373,7 @@ TEST(Service, DeferredStartAndBusyShardsQueueReads) {
   service.drain();
   ASSERT_TRUE(ran.load());
   EXPECT_NE(thread, self);
-  EXPECT_EQ(service.metrics().totals().queue_high_water, 1u);
+  EXPECT_EQ(stat(service, "fhg_service_queue_high_water"), 1u);
 }
 
 TEST(Service, DrainWaitsForReadsServedInline) {
@@ -353,7 +407,7 @@ TEST(Service, DrainWaitsForReadsServedInline) {
   reader.join();
   drainer.join();
   EXPECT_TRUE(drained.load());
-  EXPECT_EQ(service.metrics().totals().queries, 1u);
+  EXPECT_EQ(stat(service, "fhg_service_queries_total"), 1u);
 }
 
 TEST(Service, ReadAdmittedBehindQueuedMutationSeesPostMutationAnswer) {
@@ -439,13 +493,14 @@ TEST(Service, DrainCompletesEveryAcceptedRequest) {
   const std::uint64_t accepted = stream.size() - rejected;
   EXPECT_EQ(completed.load(), accepted);
   EXPECT_EQ(failed.load(), 0u);
-  const auto totals = service.metrics().totals();
-  EXPECT_EQ(totals.accepted, accepted);
-  EXPECT_EQ(totals.queries + totals.next_gatherings, accepted);
-  EXPECT_EQ(totals.latency_us.total(), accepted);
-  EXPECT_GE(totals.batches, 1u);
-  EXPECT_EQ(totals.batch_size.total(), totals.batches);
-  EXPECT_EQ(totals.failed, 0u);
+  EXPECT_EQ(stat(service, "fhg_service_accepted_total"), accepted);
+  EXPECT_EQ(stat(service, "fhg_service_queries_total") +
+                stat(service, "fhg_service_next_gatherings_total"),
+            accepted);
+  EXPECT_EQ(stat(service, "fhg_service_latency_us"), accepted);
+  EXPECT_GE(stat(service, "fhg_service_batches_total"), 1u);
+  EXPECT_EQ(stat(service, "fhg_service_batch_size"), stat(service, "fhg_service_batches_total"));
+  EXPECT_EQ(stat(service, "fhg_service_failed_total"), 0u);
   // Drain is idempotent and the second call still reports stopped.
   service.drain();
   EXPECT_TRUE(service.stopped());
@@ -493,7 +548,7 @@ TEST(Service, MutationSerializesAgainstQueriesOnOneShard) {
   EXPECT_EQ(engine->find("dyn")->table_version(), twin->find("dyn")->table_version());
   EXPECT_EQ(engine->find("dyn")->mutation_log().size(),
             twin->find("dyn")->mutation_log().size());
-  EXPECT_EQ(service.metrics().totals().mutations, 2u);
+  EXPECT_EQ(stat(service, "fhg_service_mutations_total"), 2u);
 }
 
 TEST(Service, MutatingNonDynamicInstanceFailsTyped) {
@@ -582,7 +637,7 @@ TEST(Service, ConcurrentSubmittersAllComplete) {
   service.drain();
   EXPECT_EQ(submitted.load(), kClients * kPerClient);
   EXPECT_EQ(completed.load(), submitted.load());
-  EXPECT_EQ(service.metrics().totals().accepted, submitted.load());
+  EXPECT_EQ(stat(service, "fhg_service_accepted_total"), submitted.load());
 }
 
 // --------------------------------------------------- request stream --------
@@ -610,7 +665,7 @@ TEST(Workload, RequestStreamIsDeterministicAndRespectsShares) {
       ASSERT_LT(slot, spec.fleet);
       // Only dynamic slots may be asked to mutate, and the commands are
       // materialized into the request itself.
-      EXPECT_EQ(a.recipe_at(slot, 0).kind, fe::SchedulerKind::kDynamicPrefixCode);
+      EXPECT_EQ(a.recipe(slot).kind, fe::SchedulerKind::kDynamicPrefixCode);
       EXPECT_FALSE(mutate->commands.empty());
       ++mutates;
     } else if (const auto* next = std::get_if<fa::NextGatheringRequest>(&request)) {

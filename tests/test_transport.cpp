@@ -30,6 +30,7 @@
 #include "fhg/dynamic/mutation.hpp"
 #include "fhg/engine/engine.hpp"
 #include "fhg/graph/generators.hpp"
+#include "fhg/obs/format.hpp"
 #include "fhg/obs/registry.hpp"
 #include "fhg/service/service.hpp"
 #include "fhg/workload/scenario.hpp"
@@ -234,7 +235,7 @@ TEST(Transport, LifecycleOpsSerializeThroughTheOwningShardFifo) {
   EXPECT_TRUE(responses[2].ok()) << "query after create must see the tenant";
   EXPECT_TRUE(responses[3].ok()) << responses[3].status.detail;
   EXPECT_EQ(responses[4].status.code, fa::StatusCode::kNotFound) << "query after erase";
-  EXPECT_EQ(service.metrics().totals().admin, 2u);
+  EXPECT_EQ(fhg::obs::sum_series(service.stats({}).metrics, "fhg_service_admin_total"), 2u);
 }
 
 TEST(Transport, AdmissionRejectsArriveAsTypedResponses) {
@@ -408,20 +409,6 @@ TEST(Transport, StatsCountersAreMonotoneAcrossALoadBurst) {
   fa::SocketServer server(service, {});
   fa::Client client(std::make_unique<fa::SocketTransport>(server.host(), server.port()));
 
-  const auto counter_value = [](const fa::GetStatsResponse& stats, std::string_view name) {
-    std::uint64_t sum = 0;
-    for (const auto& sample : stats.metrics) {
-      // Sum across shard labels: "name" or "name{shard=...}".
-      const std::string_view sample_name(sample.name);
-      if (sample_name == name || (sample_name.size() > name.size() &&
-                                  sample_name.substr(0, name.size()) == name &&
-                                  sample_name[name.size()] == '{')) {
-        sum += sample.value;
-      }
-    }
-    return sum;
-  };
-
   auto before = client.get_stats();
   ASSERT_TRUE(before.ok()) << before.status.detail;
   const fw::ScenarioGenerator generator(spec);
@@ -439,8 +426,9 @@ TEST(Transport, StatsCountersAreMonotoneAcrossALoadBurst) {
   for (const std::string_view name :
        {"fhg_service_accepted_total", "fhg_service_queries_total",
         "fhg_engine_batch_probes_total"}) {
-    const std::uint64_t was = counter_value(before.value, name);
-    const std::uint64_t now = counter_value(after.value, name);
+    // Summed across shard labels: "name" or "name{shard=...}".
+    const std::uint64_t was = fhg::obs::sum_series(before.value.metrics, name);
+    const std::uint64_t now = fhg::obs::sum_series(after.value.metrics, name);
     EXPECT_GE(now, was + queries) << name;
   }
   // Histograms ride along by default and the burst recorded latencies.

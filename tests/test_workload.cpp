@@ -47,7 +47,6 @@ TEST(Workload, FamilyNamesRoundTrip) {
 
 TEST(Workload, ScenarioStringRoundTrip) {
   fw::ScenarioSpec spec = small_spec(fw::GraphFamily::kRandomGeometric, 42);
-  spec.churn = 0.125;
   spec.aperiodic = 0.25;
   spec.mix.next_gathering = 0.5;
   const auto parsed = fw::parse_scenario(fw::scenario_name(spec));
@@ -59,6 +58,7 @@ TEST(Workload, ParseScenarioRejectsMalformedInput) {
   EXPECT_FALSE(fw::parse_scenario("not-a-family:fleet=3").has_value());
   EXPECT_FALSE(fw::parse_scenario("ring:fleet").has_value());
   EXPECT_FALSE(fw::parse_scenario("ring:bogus=3").has_value());
+  EXPECT_FALSE(fw::parse_scenario("ring:churn=0.5").has_value());
   EXPECT_FALSE(fw::parse_scenario("ring:fleet=abc").has_value());
   const auto defaults = fw::parse_scenario("grid");
   ASSERT_TRUE(defaults.has_value());
@@ -98,27 +98,6 @@ TEST(Workload, ProbeRoundsAreDeterministicAndMixed) {
   EXPECT_EQ(r1.next_gathering.size(), 125U);  // default mix: 0.125
   const fw::ProbeRound other = gen.probes(*snapshot, 1000, /*round=*/4);
   EXPECT_NE(r1.membership, other.membership);
-}
-
-TEST(Workload, ChurnRoundIsDeterministic) {
-  fw::ScenarioSpec spec = small_spec(fw::GraphFamily::kGnp);
-  spec.churn = 0.25;
-  const fw::ScenarioGenerator gen(spec);
-  fe::Engine a;
-  fe::Engine b;
-  gen.populate(a);
-  gen.populate(b);
-  std::vector<std::uint64_t> gen_a(spec.fleet, 0);
-  std::vector<std::uint64_t> gen_b(spec.fleet, 0);
-  for (std::uint64_t round = 0; round < 3; ++round) {
-    const std::size_t replaced_a = gen.churn_round(a, round, gen_a);
-    const std::size_t replaced_b = gen.churn_round(b, round, gen_b);
-    EXPECT_EQ(replaced_a, replaced_b);
-    EXPECT_GT(replaced_a, 0U);
-  }
-  EXPECT_EQ(gen_a, gen_b);
-  EXPECT_EQ(a.num_instances(), spec.fleet);
-  EXPECT_EQ(a.snapshot(), b.snapshot());  // byte-identical engines after churn
 }
 
 // ------------------------------------------- batch vs per-query stress -----
@@ -347,8 +326,8 @@ TEST(WorkloadMutation, MutationRoundSkipsNonDynamicFleets) {
 }
 
 TEST(WorkloadMutation, InPlaceMutationPreservesTenantIdentity) {
-  // The point of the mutation path vs churn: the tenant object (and its
-  // stepped history) survives topology change.
+  // The point of the mutation path vs replacing the tenant: the tenant
+  // object (and its stepped history) survives topology change.
   fw::ScenarioSpec spec = small_spec(fw::GraphFamily::kPowerLaw, 3);
   spec.dynamic_share = 1.0;
   spec.mutation = 1.0;
